@@ -4,11 +4,13 @@ Trains the pinned reference network (a DeepST-style conv stack at MGrid
 resolution 32 — the upper end of the paper's candidate grids) in three modes:
 
 * ``seed`` — the seed's exact conv pipeline: per-offset loop unfolds, einsum
-  weight reduction, scatter-add ``col2im`` backward (``layers.seed_mode``).
+  weight reduction, scatter-add ``col2im`` backward that always computes the
+  network-input gradient (``seed_conv.SeedConv2D``).
 * ``loop-unfold`` — the production GEMM/gather backward fed by the loop
-  unfold (``layers.loop_unfold``).
+  unfold (``seed_conv.LoopUnfoldConv2D``).
 * ``production`` — the strided ``sliding_window_view`` unfold with reusable
-  buffers plus the GEMM/gather backward (the default engine).
+  buffers plus the GEMM/gather backward, which skips the input gradient of
+  the first conv (the default engine).
 
 The benchmark asserts three properties the CI gate then enforces:
 
@@ -56,13 +58,16 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.prediction import layers  # noqa: E402
 from repro.prediction.deepst import DeepSTPredictor  # noqa: E402
 from repro.prediction.network import Trainer  # noqa: E402
 from repro.sweep.prediction import (  # noqa: E402
     PredictionSuiteRunner,
     predictor_scenarios,
 )
+from seed_conv import LoopUnfoldConv2D, SeedConv2D, with_conv_class  # noqa: E402
+
+#: Conv2D class each timed mode trains with (``None``: production).
+MODE_CONV = {"seed": SeedConv2D, "loop": LoopUnfoldConv2D, "new": None}
 
 #: Pinned reference training configuration.  Resolution 32 is the largest
 #: MGrid side of the ``small`` profile; 512 samples x 3 epochs keeps the
@@ -98,19 +103,20 @@ def _reference_data(config: Dict) -> Dict[str, np.ndarray]:
     }
 
 
-def _build_network(config: Dict):
+def _build_network(config: Dict, conv_class=None):
     predictor = DeepSTPredictor(
         filters=config["filters"],
         period=config["period"],
         closeness=config["closeness"],
         seed=config["network_seed"],
     )
-    return predictor.build_network(config["resolution"])
+    network = predictor.build_network(config["resolution"])
+    return network if conv_class is None else with_conv_class(network, conv_class)
 
 
 def _train(config: Dict, data: Dict, mode: str, dtype: Optional[str] = None):
     """One full training run in the requested mode; returns (seconds, history, out)."""
-    network = _build_network(config)
+    network = _build_network(config, MODE_CONV[mode])
     trainer = Trainer(
         network,
         epochs=config["epochs"],
@@ -119,27 +125,17 @@ def _train(config: Dict, data: Dict, mode: str, dtype: Optional[str] = None):
         patience=None,
         dtype=dtype,
     )
-    previous_unfold = layers.set_loop_unfold(mode in ("loop", "seed"))
-    previous_backward = layers.set_legacy_backward(mode == "seed")
-    try:
-        start = time.perf_counter()
-        history = trainer.fit(
-            data["inputs"], data["targets"], data["val_inputs"], data["val_targets"]
-        )
-        seconds = time.perf_counter() - start
-        final = network.forward(data["val_inputs"], training=False)
-    finally:
-        layers.set_loop_unfold(previous_unfold)
-        layers.set_legacy_backward(previous_backward)
+    start = time.perf_counter()
+    history = trainer.fit(data["inputs"], data["targets"], data["val_inputs"], data["val_targets"])
+    seconds = time.perf_counter() - start
+    final = network.forward(data["val_inputs"], training=False)
     return seconds, history, final
 
 
 def _forward_identical_to_seed(config: Dict, data: Dict) -> bool:
     """Untrained forward pass: production vs seed mode on identical weights."""
-    network = _build_network(config)
-    with layers.seed_mode():
-        seed_out = network.forward(data["val_inputs"], training=False)
-    production_out = network.forward(data["val_inputs"], training=False)
+    seed_out = _build_network(config, SeedConv2D).forward(data["val_inputs"], training=False)
+    production_out = _build_network(config).forward(data["val_inputs"], training=False)
     return bool((seed_out == production_out).all())
 
 

@@ -169,16 +169,18 @@ class GridTuner:
     ) -> ErrorReport:
         """Empirically decompose the real error at a given grid size.
 
-        Trains a fresh model at ``mgrid_side`` (unless one is supplied),
-        predicts the evaluation slots and compares against the actual
-        HGrid-level counts of the test split.
+        Predicts the evaluation slots with ``model`` and compares against the
+        actual HGrid-level counts of the test split.  Without a ``model`` it
+        reuses the evaluator's retained fitted model when ``mgrid_side`` is
+        the evaluator's best side so far (after :meth:`select`, the selected
+        side), and trains a fresh one otherwise; both come from the same
+        factory, dataset and seed, so the report is the same either way.
         """
         layout = GridLayout.for_ogss(mgrid_side * mgrid_side, self.hgrid_budget)
         if days is None:
             days = list(self.dataset.split.test_days)
         if model is None:
-            model = self.model_factory()
-            model.fit(self.dataset, mgrid_side)
+            model = self._fitted_model(mgrid_side)
         targets = evaluation_targets(self.dataset, days)
         predictions = model.predict(self.dataset, mgrid_side, targets)
         actual_fine = actual_counts_for_targets(
@@ -209,10 +211,18 @@ class GridTuner:
         """Predicted MGrid demand for all usable slots of ``days``.
 
         Convenience used by the dispatch case study: returns an array of shape
-        ``(targets, side, side)`` aligned with ``evaluation_targets``.
+        ``(targets, side, side)`` aligned with ``evaluation_targets``.  The
+        model is found as in :meth:`evaluate_real_error`.
         """
+        if model is None:
+            model = self._fitted_model(mgrid_side)
+        targets = evaluation_targets(self.dataset, days)
+        return model.predict(self.dataset, mgrid_side, targets)
+
+    def _fitted_model(self, mgrid_side: int) -> DemandPredictor:
+        """The evaluator's retained model at this side, else a freshly trained one."""
+        model = self.evaluator.fitted_model(mgrid_side)
         if model is None:
             model = self.model_factory()
             model.fit(self.dataset, mgrid_side)
-        targets = evaluation_targets(self.dataset, days)
-        return model.predict(self.dataset, mgrid_side, targets)
+        return model

@@ -5,11 +5,14 @@
 computes the analytic total expression error from the HGrid alphas
 (Algorithm 2 / its equivalents in :mod:`repro.core.expression`) and returns
 their sum ``e(sqrt(n))``.  :class:`UpperBoundEvaluator` wraps this with a cache
-so the search algorithms never retrain a model for the same ``n`` twice.
+so the search algorithms never retrain a model for the same ``n`` twice, and
+keeps the fitted model of its best side so far so the tuner's real-error
+refit at the selected side does not train it again.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, MutableMapping, Optional, Sequence, Tuple
@@ -81,6 +84,16 @@ class UpperBoundEvaluator:
         :class:`repro.sweep.runner.SingleFlightModelErrorCache`), the
         evaluator holds that lock around training so concurrent evaluators
         sharing the cache train each side exactly once.
+
+    Retained model
+    --------------
+    Of all the models it trains, the evaluator keeps exactly one: the model
+    of its best side so far (lowest ``total``; an earlier side wins ties),
+    available through :meth:`fitted_model`.  Holding every candidate's model
+    would cost memory (an MLP at side 64 carries tens of MB of weights plus
+    Adam moments).  A side whose model error came from
+    ``model_error_cache`` has no model here, so when it becomes the best
+    side nothing is retained.
     """
 
     dataset: EventDataset
@@ -106,6 +119,9 @@ class UpperBoundEvaluator:
             )
         self._cache: Dict[int, UpperBoundResult] = {}
         self._evaluation_count = 0
+        self._best_side: Optional[int] = None
+        self._best_total = math.inf
+        self._best_model: Optional[DemandPredictor] = None
 
     @property
     def evaluations(self) -> int:
@@ -115,6 +131,17 @@ class UpperBoundEvaluator:
     def cached_results(self) -> Dict[int, UpperBoundResult]:
         """Mapping ``sqrt(n) -> UpperBoundResult`` of everything evaluated so far."""
         return dict(self._cache)
+
+    def fitted_model(self, mgrid_side: int) -> Optional[DemandPredictor]:
+        """The retained fitted model at ``mgrid_side``, or ``None``.
+
+        Only the best side so far has a retained model (see the class
+        docstring); it was trained by this evaluator's ``model_factory`` on
+        its ``dataset``, exactly as a fresh refit at that side would be.
+        """
+        if mgrid_side == self._best_side:
+            return self._best_model
+        return None
 
     def evaluate_side(self, mgrid_side: int) -> UpperBoundResult:
         """Evaluate ``e(side)`` for ``n = side**2`` (cached)."""
@@ -142,18 +169,26 @@ class UpperBoundEvaluator:
 
     def _evaluate(self, mgrid_side: int) -> UpperBoundResult:
         layout = GridLayout.for_ogss(mgrid_side * mgrid_side, self.hgrid_budget)
-        model_error, mae = self._model_error(mgrid_side)
+        model_error, mae, model = self._model_error(mgrid_side)
         expression = self._expression_error(layout)
-        return UpperBoundResult(
+        result = UpperBoundResult(
             num_mgrids=layout.num_mgrids,
             hgrids_per_mgrid=layout.hgrids_per_mgrid,
             model_error=model_error,
             expression_error=expression,
             mae=mae,
         )
+        if result.total < self._best_total:
+            # Replacing the previous best releases its model.
+            self._best_side, self._best_total, self._best_model = mgrid_side, result.total, model
+        return result
 
-    def _model_error(self, mgrid_side: int) -> tuple[float, float]:
-        """Cached-and-locked wrapper around :meth:`_train_and_measure`."""
+    def _model_error(self, mgrid_side: int) -> Tuple[float, float, Optional[DemandPredictor]]:
+        """Cached-and-locked wrapper around :meth:`_train_and_measure`.
+
+        Returns ``(model_error, mae, model)``; ``model`` is ``None`` when
+        the entry came from ``model_error_cache``.
+        """
         cache = self.model_error_cache
         if cache is None:
             return self._train_and_measure(mgrid_side)
@@ -161,12 +196,13 @@ class UpperBoundEvaluator:
         guard = lock_for(mgrid_side) if lock_for is not None else nullcontext()
         with guard:
             if mgrid_side in cache:
-                return cache[mgrid_side]
-            entry = self._train_and_measure(mgrid_side)
-            cache[mgrid_side] = entry
-            return entry
+                model_error, mae = cache[mgrid_side]
+                return model_error, mae, None
+            model_error, mae, model = self._train_and_measure(mgrid_side)
+            cache[mgrid_side] = (model_error, mae)
+            return model_error, mae, model
 
-    def _train_and_measure(self, mgrid_side: int) -> tuple[float, float]:
+    def _train_and_measure(self, mgrid_side: int) -> Tuple[float, float, DemandPredictor]:
         """Train a fresh model at this resolution and estimate ``n * MAE``."""
         model = self.model_factory()
         with self.timer.measure("model_training"):
@@ -175,7 +211,7 @@ class UpperBoundEvaluator:
         predictions = model.predict(self.dataset, mgrid_side, targets)
         actual = actual_counts_for_targets(self.dataset, mgrid_side, targets)
         mae = mean_absolute_error(predictions, actual)
-        return total_model_error_from_mae(mae, mgrid_side * mgrid_side), mae
+        return total_model_error_from_mae(mae, mgrid_side * mgrid_side), mae, model
 
     def _expression_error(self, layout: GridLayout) -> float:
         """Analytic total expression error for this layout."""

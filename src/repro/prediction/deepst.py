@@ -11,7 +11,7 @@ laptop.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class ResidualBlock(Layer):
         self.conv2 = Conv2D(channels, channels, kernel=3, seed=seed)
 
     def children(self) -> List[Layer]:
-        """Sub-layers owning parameters (used by the trainer's parameter discovery)."""
-        return [self.conv1, self.conv2]
+        return [self.conv1, self.activation, self.conv2]
 
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         hidden = self.conv1.forward(inputs, training=training)
@@ -41,10 +40,14 @@ class ResidualBlock(Layer):
         hidden = self.conv2.forward(hidden, training=training)
         return inputs + hidden
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         grad_hidden = self.conv2.backward(grad_output)
         grad_hidden = self.activation.backward(grad_hidden)
-        grad_hidden = self.conv1.backward(grad_hidden)
+        grad_hidden = self.conv1.backward(grad_hidden, input_grad=input_grad)
+        if not input_grad:
+            return None
         return grad_output + grad_hidden
 
 
@@ -56,7 +59,7 @@ class SqueezeChannel(Layer):
             raise ValueError(f"expected a single-channel 4-D input, got {inputs.shape}")
         return inputs[:, 0]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray:
         return grad_output[:, None]
 
 

@@ -20,7 +20,7 @@ accurate of the three models, matching the ordering reported in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class MultiViewNetwork(Layer):
         self._branch_count = branches
 
     def children(self) -> List[Layer]:
-        """Composite sub-networks for parameter discovery."""
         result: List[Layer] = [self.spatial, self.temporal, self.head]
         if self.semantic is not None:
             result.append(self.semantic)
@@ -92,14 +91,22 @@ class MultiViewNetwork(Layer):
         fused = np.concatenate(features, axis=1)
         return self.head.forward(fused, training=training)
 
-    def backward(self, grad_output: np.ndarray) -> Inputs:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[Inputs]:
         grad_fused = self.head.backward(grad_output)
         filters = self._filters
-        grad_spatial = self.spatial.backward(grad_fused[:, :filters])
-        grad_temporal = self.temporal.backward(grad_fused[:, filters : 2 * filters])
-        grad_closeness = grad_spatial + grad_temporal
+        grad_spatial = self.spatial.backward(grad_fused[:, :filters], input_grad=input_grad)
+        grad_temporal = self.temporal.backward(
+            grad_fused[:, filters : 2 * filters], input_grad=input_grad
+        )
+        grad_period = None
         if self.semantic is not None:
-            grad_period = self.semantic.backward(grad_fused[:, 2 * filters :])
+            grad_period = self.semantic.backward(
+                grad_fused[:, 2 * filters :], input_grad=input_grad
+            )
+        if not input_grad:
+            return None
+        grad_closeness = grad_spatial + grad_temporal
+        if grad_period is not None:
             return grad_closeness, grad_period
         return grad_closeness
 

@@ -9,22 +9,26 @@ finite-difference tests in ``tests/prediction/test_layers.py``.
 
 Convolution hot path
 --------------------
-The seed implementation unfolded images with per-kernel-offset Python loops
-(``for dy / for dx``) and scattered gradients back the same way.  The
-production path now uses :func:`numpy.lib.stride_tricks.sliding_window_view`
-(:func:`_im2col`) with reusable per-layer column/padding buffers, and
+Images are unfolded through :func:`numpy.lib.stride_tricks.sliding_window_view`
+(:func:`_im2col`) into reusable per-layer column/padding buffers, and
 ``Conv2D.backward`` computes the input gradient as a *gather* correlation —
-an unfold of ``grad_output`` against the spatially flipped kernel — instead
-of the scatter-add ``col2im``, so the backward pass reuses the same fast
-unfold primitive as the forward pass.
+an unfold of ``grad_output`` against the spatially flipped kernel — so the
+backward pass reuses the same fast unfold primitive as the forward pass.
+The strided unfold returns a column view bit-identical (values and layout)
+to the seed's per-offset loop unfold, so every forward output is
+bit-identical to the seed.  The seed's loop unfold and scatter-add backward
+live outside the package, as ``Conv2D`` subclasses in
+``benchmarks/seed_conv.py`` that the prediction benchmark and the layer
+tests build explicitly.
 
-The strided unfold produces a column matrix bit-identical to the loop-based
-one (tested in ``test_layers.py``), so ``columns @ weight`` and therefore
-every forward output is bit-identical to the seed.  The loop-based reference
-implementations are kept (:func:`_im2col_loops`, :func:`_col2im_loops`) and
-can be switched back in through :func:`set_loop_unfold` — used by
-``benchmarks/bench_prediction.py`` to time the old unfold against the new one
-under otherwise identical arithmetic (bit-identical training histories).
+Parameter gradients only
+------------------------
+``backward(grad_output, input_grad=False)`` asks a layer for its parameter
+gradients alone.  The trainer never uses the gradient with respect to the
+network input, so it requests exactly that: :class:`Sequential` stops at its
+first parameter-owning layer, and :class:`Conv2D` / :class:`Dense` skip the
+input-gradient GEMM (for a conv, also the grad unfold) and return ``None``.
+Parameter gradients, and therefore training, are bit-identical either way.
 
 All layers preserve ``float32`` inputs instead of up-casting to ``float64``,
 which is what makes the optional ``float32`` training mode of
@@ -34,77 +38,12 @@ exactly the code paths (and produce exactly the bits) they always did.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.utils.rng import RandomState, default_rng
-
-#: When True, ``Conv2D`` unfolds through the seed's per-offset loops instead
-#: of the strided path (no buffer reuse).  Benchmark/testing switch only —
-#: see :func:`set_loop_unfold` / :func:`loop_unfold`.
-_LOOP_UNFOLD = False
-
-#: When True, ``Conv2D.backward`` runs the seed's exact arithmetic (einsum
-#: weight reduction + scatter-add col2im) instead of the GEMM/gather path.
-#: Benchmark/testing switch only — see :func:`seed_mode`.
-_LEGACY_BACKWARD = False
-
-
-def set_loop_unfold(enabled: bool) -> bool:
-    """Switch ``Conv2D`` to the loop-based reference unfold; returns the old flag.
-
-    Only intended for benchmarks and equivalence tests: the two unfold
-    implementations produce bit-identical, layout-identical column views, so
-    forward outputs and training histories are unaffected by the switch.
-    """
-    global _LOOP_UNFOLD
-    previous = _LOOP_UNFOLD
-    _LOOP_UNFOLD = bool(enabled)
-    return previous
-
-
-def set_legacy_backward(enabled: bool) -> bool:
-    """Switch ``Conv2D.backward`` to the seed's arithmetic; returns the old flag.
-
-    The legacy backward is mathematically identical to the production
-    GEMM/gather backward (same sums, different floating-point association;
-    they agree to ~1 ulp and both pass the finite-difference checks) but
-    noticeably slower.  Only intended for benchmarks and equivalence tests.
-    """
-    global _LEGACY_BACKWARD
-    previous = _LEGACY_BACKWARD
-    _LEGACY_BACKWARD = bool(enabled)
-    return previous
-
-
-@contextmanager
-def loop_unfold():
-    """Context manager running ``Conv2D`` on the loop-based reference unfold."""
-    previous = set_loop_unfold(True)
-    try:
-        yield
-    finally:
-        set_loop_unfold(previous)
-
-
-@contextmanager
-def seed_mode():
-    """Context manager restoring the seed's full conv pipeline.
-
-    Loop-based unfolds *and* the legacy einsum/col2im backward — the faithful
-    baseline ``benchmarks/bench_prediction.py`` times the production engine
-    against.
-    """
-    previous_unfold = set_loop_unfold(True)
-    previous_backward = set_legacy_backward(True)
-    try:
-        yield
-    finally:
-        set_loop_unfold(previous_unfold)
-        set_legacy_backward(previous_backward)
 
 
 def _ensure_float(inputs: np.ndarray) -> np.ndarray:
@@ -127,9 +66,27 @@ class Layer:
         """Compute the layer output for ``inputs``."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate ``grad_output`` and accumulate parameter gradients."""
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Back-propagate ``grad_output`` and accumulate parameter gradients.
+
+        Returns the gradient with respect to the layer input.  With
+        ``input_grad=False`` the caller discards that gradient, so a layer
+        may skip computing it and return ``None``; parameter gradients are
+        the same either way.
+        """
         raise NotImplementedError
+
+    def children(self) -> List["Layer"]:
+        """Direct sub-layers of a composite layer (empty for leaf layers)."""
+        return []
+
+    def parameter_layers(self) -> List["Layer"]:
+        """Leaf layers owning trainable parameters, depth first."""
+        return [
+            layer for layer in iter_layers(self) if layer.params and not layer.children()
+        ]
 
     @property
     def params(self) -> Dict[str, np.ndarray]:
@@ -142,11 +99,19 @@ class Layer:
         return {}
 
     def release_buffers(self) -> None:
-        """Drop any reusable work buffers (no-op for buffer-less layers).
+        """Drop work buffers and per-batch caches (no-op for stateless layers).
 
-        Called by the trainer once a fit/predict pass completes so a
-        long-lived fitted model does not pin inference-batch-sized arrays.
+        Called by the trainer on every layer once a fit/predict pass
+        completes, so a long-lived fitted model holds its parameters and
+        nothing batch-sized.
         """
+
+
+def iter_layers(layer: Layer) -> Iterator[Layer]:
+    """``layer`` and every layer nested in it, depth first in declaration order."""
+    yield layer
+    for child in layer.children():
+        yield from iter_layers(child)
 
 
 class Dense(Layer):
@@ -174,11 +139,15 @@ class Dense(Layer):
             self._inputs = inputs
         return inputs @ self.weight + self.bias
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         self._grad_weight = self._inputs.T @ grad_output
         self._grad_bias = grad_output.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_output @ self.weight.T
 
     @property
@@ -188,6 +157,9 @@ class Dense(Layer):
     @property
     def grads(self) -> Dict[str, np.ndarray]:
         return {"weight": self._grad_weight, "bias": self._grad_bias}
+
+    def release_buffers(self) -> None:
+        self._inputs = None
 
 
 class ReLU(Layer):
@@ -203,10 +175,13 @@ class ReLU(Layer):
             self._mask = mask
         return inputs * mask
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
+
+    def release_buffers(self) -> None:
+        self._mask = None
 
 
 class Flatten(Layer):
@@ -221,10 +196,13 @@ class Flatten(Layer):
             self._input_shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         return grad_output.reshape(self._input_shape)
+
+    def release_buffers(self) -> None:
+        self._input_shape = None
 
 
 class Reshape(Layer):
@@ -240,32 +218,13 @@ class Reshape(Layer):
             self._input_shape = inputs.shape
         return inputs.reshape((inputs.shape[0],) + self.target_shape)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         return grad_output.reshape(self._input_shape)
 
-
-def _im2col_loops(inputs: np.ndarray, kernel: int, pad: int) -> np.ndarray:
-    """Loop-based reference unfold (the seed implementation).
-
-    Kept for the old-vs-new equality tests and as the baseline timed by
-    ``benchmarks/bench_prediction.py``; :func:`_im2col` produces a
-    bit-identical column matrix through ``sliding_window_view``.
-    """
-    batch, channels, height, width = inputs.shape
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
-    )
-    columns = np.empty(
-        (batch, channels, kernel, kernel, height, width), dtype=inputs.dtype
-    )
-    for dy in range(kernel):
-        for dx in range(kernel):
-            columns[:, :, dy, dx] = padded[:, :, dy : dy + height, dx : dx + width]
-    return columns.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch, height * width, channels * kernel * kernel
-    )
+    def release_buffers(self) -> None:
+        self._input_shape = None
 
 
 def _im2col(
@@ -285,7 +244,7 @@ def _im2col(
     reshape yielded.  Matching the layout, not just the values, matters:
     BLAS kernels select different accumulation paths for different operand
     strides, so only a layout-identical column view keeps the downstream
-    ``columns @ weight`` bit-identical to :func:`_im2col_loops`.
+    ``columns @ weight`` bit-identical to the seed's loop unfold.
 
     ``out`` (the 6-D buffer) and ``pad_buffer`` let callers reuse
     allocations across training steps; allocation and page-fault churn is
@@ -322,59 +281,6 @@ def _im2col(
     )
 
 
-def _col2im_loops(
-    columns: np.ndarray, input_shape: tuple, kernel: int, pad: int
-) -> np.ndarray:
-    """Loop-based reference scatter (the seed's ``_col2im``)."""
-    batch, channels, height, width = input_shape
-    columns = columns.reshape(batch, height, width, channels, kernel, kernel).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros(
-        (batch, channels, height + 2 * pad, width + 2 * pad), dtype=columns.dtype
-    )
-    for dy in range(kernel):
-        for dx in range(kernel):
-            padded[:, :, dy : dy + height, dx : dx + width] += columns[:, :, dy, dx]
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
-
-
-def _col2im(
-    columns: np.ndarray, input_shape: tuple, kernel: int, pad: int
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`: scatter-add columns back into an image.
-
-    Vectorised scatter-add through ``np.add.at`` on flat pixel indices,
-    ordered (dy, dx)-major exactly like the reference loop so the result is
-    bit-identical to :func:`_col2im_loops` (``ufunc.at`` applies updates
-    sequentially in index order).  ``Conv2D.backward`` no longer calls this —
-    it computes the input gradient as a gather correlation — but the function
-    remains the exact adjoint of :func:`_im2col` and is used by the layer
-    equivalence tests.
-    """
-    batch, channels, height, width = input_shape
-    padded_h, padded_w = height + 2 * pad, width + 2 * pad
-    # (batch, channels, kernel*kernel, H*W) view, (dy, dx)-major like the loop.
-    source = columns.reshape(
-        batch, height * width, channels, kernel * kernel
-    ).transpose(0, 2, 3, 1)
-    offsets_y, offsets_x = np.divmod(np.arange(kernel * kernel), kernel)
-    rows = offsets_y[:, None] + np.arange(height)[None, :]
-    cols = offsets_x[:, None] + np.arange(width)[None, :]
-    # Flat padded-image index of each (offset, pixel) contribution.
-    flat = (
-        rows[:, :, None] * padded_w + cols[:, None, :]
-    ).reshape(kernel * kernel, height * width)
-    padded = np.zeros((batch, channels, padded_h * padded_w), dtype=columns.dtype)
-    np.add.at(padded, (slice(None), slice(None), flat.ravel()), source.reshape(batch, channels, -1))
-    padded = padded.reshape(batch, channels, padded_h, padded_w)
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
-
-
 class Conv2D(Layer):
     """Same-padding 2-D convolution over (batch, channels, H, W) inputs.
 
@@ -383,9 +289,11 @@ class Conv2D(Layer):
     weight gradient with a single GEMM over the stored columns and computes
     the input gradient as a *gather*: the padded ``grad_output`` is unfolded
     with the same strided primitive and correlated against the spatially
-    flipped kernel (mathematically identical to the scatter-add ``col2im``,
-    verified by the finite-difference and adjoint tests).  Column and padding
-    buffers are reused across calls while shapes/dtypes match.
+    flipped kernel (mathematically identical to the seed's scatter-add
+    ``col2im``, verified by the finite-difference and seed-agreement tests).
+    ``backward(..., input_grad=False)`` stops after the parameter gradients.
+    Column and padding buffers are reused across calls while shapes/dtypes
+    match.
     """
 
     def __init__(
@@ -418,10 +326,8 @@ class Conv2D(Layer):
         self._buffers: Dict[str, list] = {}
 
     def _unfold(self, images: np.ndarray, role: str) -> np.ndarray:
-        """Buffered strided unfold (or the loop reference under the switch)."""
+        """Buffered strided unfold of ``images`` into the ``role`` buffers."""
         pad = self.kernel // 2
-        if _LOOP_UNFOLD:
-            return _im2col_loops(images, self.kernel, pad)
         batch, channels, height, width = images.shape
         col_shape = (batch, channels, self.kernel, self.kernel, height, width)
         pair = self._buffers.setdefault(role, [None, None])
@@ -455,7 +361,9 @@ class Conv2D(Layer):
             0, 3, 1, 2
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._columns is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
         batch, _, height, width = self._input_shape
@@ -463,21 +371,14 @@ class Conv2D(Layer):
             batch, height * width, self.out_channels
         )
         self._grad_bias = grad_flat.sum(axis=(0, 1))
-        if _LEGACY_BACKWARD:
-            # Seed-exact backward: einsum weight reduction plus scatter-add
-            # col2im of the expanded column gradient.
-            self._grad_weight = np.einsum("bpc,bpo->co", self._columns, grad_flat)
-            grad_columns = grad_flat @ self.weight.T
-            return _col2im_loops(
-                grad_columns, self._input_shape, self.kernel, self.kernel // 2
-            )
-        # Production backward.  The transposed column view (batch, fan_in,
-        # H*W) is contiguous (it is the unfold buffer's natural layout), so
-        # the weight gradient reduces through one batched GEMM instead of a
-        # naive einsum.
+        # The transposed column view (batch, fan_in, H*W) is contiguous (it
+        # is the unfold buffer's natural layout), so the weight gradient
+        # reduces through one batched GEMM instead of a naive einsum.
         self._grad_weight = np.matmul(
             self._columns.transpose(0, 2, 1), grad_flat
         ).sum(axis=0)
+        if not input_grad:
+            return None
         # Input gradient as a gather: unfold grad_output with the same
         # strided primitive and correlate against the spatially flipped
         # kernel (same-padding makes the adjoint another same-padding
@@ -523,18 +424,22 @@ class Sequential(Layer):
             output = layer.forward(output, training=training)
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        # Without an input gradient nothing before the first parameter owner
+        # needs a backward pass, and that owner computes parameter gradients
+        # only.
+        first = 0
+        if not input_grad:
+            first = next(
+                (i for i, layer in enumerate(self.layers) if layer.parameter_layers()),
+                len(self.layers),
+            )
         grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for index in range(len(self.layers) - 1, first - 1, -1):
+            grad = self.layers[index].backward(grad, input_grad=input_grad or index > first)
         return grad
 
-    def parameter_layers(self) -> List[Layer]:
-        """Layers that own trainable parameters (recursing into nested containers)."""
-        result: List[Layer] = []
-        for layer in self.layers:
-            if isinstance(layer, Sequential):
-                result.extend(layer.parameter_layers())
-            elif layer.params:
-                result.append(layer)
-        return result
+    def children(self) -> List[Layer]:
+        return list(self.layers)

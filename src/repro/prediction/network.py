@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.prediction.layers import Layer, Sequential, _ensure_float
+from repro.prediction.layers import Layer, _ensure_float, iter_layers
 from repro.prediction.optim import Adam
 from repro.utils.rng import RandomState, default_rng
 
@@ -36,26 +36,12 @@ def mae_metric(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def collect_parameter_layers(layer: Layer) -> List[Layer]:
-    """Recursively gather every sub-layer that owns trainable parameters.
+    """Every leaf layer of ``layer`` that owns trainable parameters.
 
-    Composite layers expose their children either through a ``layers``
-    attribute (e.g. :class:`~repro.prediction.layers.Sequential`) or a
-    ``children()`` method (custom multi-branch networks).
+    Composite layers expose their sub-layers through ``children()``
+    (:class:`~repro.prediction.layers.Sequential` returns its ``layers``).
     """
-    if isinstance(layer, Sequential):
-        result: List[Layer] = []
-        for child in layer.layers:
-            result.extend(collect_parameter_layers(child))
-        return result
-    children = getattr(layer, "children", None)
-    if callable(children):
-        result = []
-        for child in children():
-            result.extend(collect_parameter_layers(child))
-        return result
-    if layer.params:
-        return [layer]
-    return []
+    return layer.parameter_layers()
 
 
 def _slice_inputs(inputs: Inputs, indices: np.ndarray) -> Inputs:
@@ -209,7 +195,8 @@ class Trainer:
                 batch_targets = targets[indices]
                 predictions = self.network.forward(batch_inputs, training=True)
                 loss, grad = mse_loss(predictions, batch_targets)
-                self.network.backward(grad)
+                # The gradient w.r.t. the network input is never used.
+                self.network.backward(grad, input_grad=False)
                 self.optimizer.step()
                 epoch_loss += loss * len(indices)
             history.train_loss.append(epoch_loss / num_samples)
@@ -232,8 +219,12 @@ class Trainer:
         return history
 
     def _release_buffers(self) -> None:
-        """Drop per-layer work buffers so idle fitted models stay small."""
-        for layer in self.optimizer.layers:
+        """Drop every layer's work buffers and per-batch caches.
+
+        An idle fitted model then holds its parameters and nothing
+        batch-sized.
+        """
+        for layer in iter_layers(self.network):
             layer.release_buffers()
 
     def predict(self, inputs: Inputs, batch_size: Optional[int] = None) -> np.ndarray:

@@ -113,3 +113,82 @@ class TestRealErrorEvaluation:
         demand = tuner.predicted_demand(4, list(tiny_dataset.split.test_days))
         assert demand.shape[1:] == (4, 4)
         assert demand.shape[0] == 48
+
+
+class _CountingFactory:
+    """Model factory that counts the ``fit`` calls of the models it makes."""
+
+    def __init__(self, make):
+        self.make = make
+        self.fits = 0
+
+    def __call__(self):
+        model = self.make()
+        fit = model.fit
+
+        def counted_fit(dataset, resolution):
+            self.fits += 1
+            fit(dataset, resolution)
+
+        model.fit = counted_fit
+        return model
+
+
+def _small_deepst():
+    from repro.prediction.deepst import DeepSTPredictor
+
+    return DeepSTPredictor(filters=4, epochs=2, max_train_samples=64, seed=0)
+
+
+class TestRefitReuse:
+    """The refit at the selected side reuses the evaluator's fitted model."""
+
+    @pytest.fixture()
+    def selected(self, tiny_dataset):
+        factory = _CountingFactory(_small_deepst)
+        tuner = GridTuner(tiny_dataset, factory, hgrid_budget=64)
+        result = tuner.select("iterative", min_side=2)
+        return tuner, factory, result.optimal_side
+
+    def test_selected_side_is_not_retrained(self, selected, tiny_dataset):
+        tuner, factory, side = selected
+        fits = factory.fits
+        assert fits == tuner.evaluator.evaluations
+        report = tuner.evaluate_real_error(side)
+        test_days = list(tiny_dataset.split.test_days)
+        demand = tuner.predicted_demand(side, test_days)
+        assert factory.fits == fits
+        fresh = _small_deepst()
+        fresh.fit(tiny_dataset, side)
+        assert report == tuner.evaluate_real_error(side, model=fresh)
+        assert (demand == tuner.predicted_demand(side, test_days, model=fresh)).all()
+
+    def test_only_the_best_side_keeps_a_model(self, selected):
+        tuner, _, side = selected
+        evaluated = tuner.evaluator.cached_results()
+        assert len(evaluated) > 1
+        assert tuner.evaluator.fitted_model(side) is not None
+        others = [other for other in evaluated if other != side]
+        assert all(tuner.evaluator.fitted_model(other) is None for other in others)
+
+    def test_side_that_is_not_the_best_trains_fresh(self, selected):
+        tuner, factory, side = selected
+        other = next(s for s in tuner.evaluator.cached_results() if s != side)
+        fits = factory.fits
+        tuner.evaluate_real_error(other)
+        assert factory.fits == fits + 1
+
+    def test_side_served_from_shared_cache_trains_fresh(self, tiny_dataset):
+        shared = {}
+        first = GridTuner(tiny_dataset, _small_deepst, hgrid_budget=64, alpha_slot=16)
+        first.evaluator.model_error_cache = shared
+        first.select("iterative", min_side=2)
+        factory = _CountingFactory(_small_deepst)
+        second = GridTuner(tiny_dataset, factory, hgrid_budget=64, alpha_slot=16)
+        second.evaluator.model_error_cache = shared
+        side = second.select("iterative", min_side=2).optimal_side
+        assert factory.fits == 0
+        assert second.evaluator.fitted_model(side) is None
+        report = second.evaluate_real_error(side)
+        assert factory.fits == 1
+        assert report == first.evaluate_real_error(side)

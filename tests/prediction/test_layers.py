@@ -1,8 +1,12 @@
 """Tests for repro.prediction.layers, including finite-difference gradient checks."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.prediction.deepst import ResidualBlock
 from repro.prediction.layers import (
     Conv2D,
     Dense,
@@ -10,12 +14,19 @@ from repro.prediction.layers import (
     ReLU,
     Reshape,
     Sequential,
-    _col2im,
-    _col2im_loops,
     _im2col,
-    _im2col_loops,
-    loop_unfold,
-    seed_mode,
+)
+
+_BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+if str(_BENCHMARKS) not in sys.path:
+    sys.path.insert(0, str(_BENCHMARKS))
+
+from seed_conv import (  # noqa: E402
+    LoopUnfoldConv2D,
+    SeedConv2D,
+    col2im_loops,
+    im2col_loops,
+    with_conv_class,
 )
 
 
@@ -175,7 +186,7 @@ class TestUnfoldEquivalence:
         for batch, channels, height, width, kernel in self.SHAPES:
             inputs = rng.normal(size=(batch, channels, height, width))
             pad = kernel // 2
-            loops = _im2col_loops(inputs, kernel, pad)
+            loops = im2col_loops(inputs, kernel, pad)
             strided = _im2col(inputs, kernel, pad)
             assert (loops == strided).all(), (batch, channels, height, width, kernel)
             # Layout-identical too: the downstream matmul must hit the same
@@ -189,48 +200,33 @@ class TestUnfoldEquivalence:
         pad_buffer = np.empty((2, 3, 8, 8))
         first = _im2col(inputs, 3, 1, out=out, pad_buffer=pad_buffer)
         assert first.base is not None  # a view over the caller's buffer
-        assert (first == _im2col_loops(inputs, 3, 1)).all()
+        assert (first == im2col_loops(inputs, 3, 1)).all()
         # A second call overwrites the same storage with the new unfold.
         other = rng.normal(size=(2, 3, 6, 6))
         second = _im2col(other, 3, 1, out=out, pad_buffer=pad_buffer)
-        assert (second == _im2col_loops(other, 3, 1)).all()
-
-    def test_col2im_bit_identical_to_loops(self):
-        rng = np.random.default_rng(2)
-        for batch, channels, height, width, kernel in self.SHAPES:
-            pad = kernel // 2
-            columns = rng.normal(
-                size=(batch, height * width, channels * kernel * kernel)
-            )
-            loops = _col2im_loops(columns, (batch, channels, height, width), kernel, pad)
-            scatter = _col2im(columns, (batch, channels, height, width), kernel, pad)
-            assert (loops == scatter).all(), (batch, channels, height, width, kernel)
+        assert (second == im2col_loops(other, 3, 1)).all()
 
     def test_col2im_is_the_adjoint_of_im2col(self):
         """<col2im(c), x> == <c, im2col(x)> for random operands."""
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(2, 3, 5, 5))
         columns = rng.normal(size=(2, 25, 27))
-        lhs = np.sum(_col2im(columns, inputs.shape, 3, 1) * inputs)
+        lhs = np.sum(col2im_loops(columns, inputs.shape, 3, 1) * inputs)
         rhs = np.sum(columns * _im2col(inputs, 3, 1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_conv_forward_identical_across_unfold_modes(self):
         rng = np.random.default_rng(4)
-        layer = Conv2D(3, 5, kernel=3, seed=7)
         inputs = rng.normal(size=(4, 3, 8, 8))
-        production = layer.forward(inputs, training=False)
-        with loop_unfold():
-            loops = layer.forward(inputs, training=False)
+        production = Conv2D(3, 5, kernel=3, seed=7).forward(inputs, training=False)
+        loops = LoopUnfoldConv2D(3, 5, kernel=3, seed=7).forward(inputs, training=False)
         assert (production == loops).all()
 
     def test_conv_forward_identical_to_seed_mode(self):
         rng = np.random.default_rng(5)
-        layer = Conv2D(2, 4, kernel=3, seed=8)
         inputs = rng.normal(size=(3, 2, 7, 6))
-        production = layer.forward(inputs, training=False)
-        with seed_mode():
-            seed = layer.forward(inputs, training=False)
+        production = Conv2D(2, 4, kernel=3, seed=8).forward(inputs, training=False)
+        seed = SeedConv2D(2, 4, kernel=3, seed=8).forward(inputs, training=False)
         assert (production == seed).all()
 
     def test_backward_modes_agree_to_float_precision(self):
@@ -239,17 +235,14 @@ class TestUnfoldEquivalence:
         inputs = rng.normal(size=(3, 4, 6, 6))
         grad = rng.normal(size=(3, 5, 6, 6))
 
-        def run(context):
-            layer = Conv2D(4, 5, kernel=3, seed=9)
-            with context():
-                layer.forward(inputs)
-                grad_in = layer.backward(grad)
+        def run(conv_class):
+            layer = conv_class(4, 5, kernel=3, seed=9)
+            layer.forward(inputs)
+            grad_in = layer.backward(grad)
             return grad_in, layer.grads["weight"].copy(), layer.grads["bias"].copy()
 
-        from contextlib import nullcontext
-
-        production = run(nullcontext)
-        seed = run(seed_mode)
+        production = run(Conv2D)
+        seed = run(SeedConv2D)
         np.testing.assert_allclose(production[0], seed[0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(production[1], seed[1], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(production[2], seed[2], rtol=1e-10, atol=1e-12)
@@ -274,11 +267,11 @@ class TestUnfoldEquivalence:
     def test_buffers_track_shape_changes(self):
         rng = np.random.default_rng(8)
         layer = Conv2D(2, 3, kernel=3, seed=12)
+        reference = LoopUnfoldConv2D(2, 3, kernel=3, seed=12)
         small = rng.normal(size=(2, 2, 4, 4))
         large = rng.normal(size=(5, 2, 6, 6))
-        with loop_unfold():
-            expected_small = layer.forward(small, training=False)
-            expected_large = layer.forward(large, training=False)
+        expected_small = reference.forward(small, training=False)
+        expected_large = reference.forward(large, training=False)
         assert (layer.forward(small, training=False) == expected_small).all()
         assert (layer.forward(large, training=False) == expected_large).all()
         assert (layer.forward(small, training=False) == expected_small).all()
@@ -309,6 +302,94 @@ class TestUnfoldEquivalence:
             layer.grads["weight"], numerical_gradient(loss, layer.weight), atol=1e-4
         )
         np.testing.assert_allclose(grad_in, numerical_gradient(loss, inputs), atol=1e-4)
+
+
+class TestParameterGradientsOnly:
+    """``backward(..., input_grad=False)`` skips input-gradient work only."""
+
+    @staticmethod
+    def _grads(layer):
+        return [grad.copy() for grad in layer.grads.values()]
+
+    def test_conv_skips_input_gradient_and_grad_unfold(self):
+        rng = np.random.default_rng(20)
+        inputs = rng.normal(size=(3, 4, 6, 6))
+        grad = rng.normal(size=(3, 5, 6, 6))
+        full = Conv2D(4, 5, kernel=3, seed=1)
+        full.forward(inputs)
+        full.backward(grad)
+        skipped = Conv2D(4, 5, kernel=3, seed=1)
+        skipped.forward(inputs)
+        assert skipped.backward(grad, input_grad=False) is None
+        for a, b in zip(self._grads(full), self._grads(skipped)):
+            assert (a == b).all()
+        assert "grad" in full._buffers
+        assert "grad" not in skipped._buffers
+
+    def test_dense_skips_input_gradient(self):
+        rng = np.random.default_rng(21)
+        inputs = rng.normal(size=(6, 4))
+        grad = rng.normal(size=(6, 3))
+        full = Dense(4, 3, seed=2)
+        full.forward(inputs)
+        full.backward(grad)
+        skipped = Dense(4, 3, seed=2)
+        skipped.forward(inputs)
+        assert skipped.backward(grad, input_grad=False) is None
+        for a, b in zip(self._grads(full), self._grads(skipped)):
+            assert (a == b).all()
+
+    def test_sequential_stops_at_first_parameter_layer(self):
+        rng = np.random.default_rng(22)
+        inputs = rng.normal(size=(5, 2, 3, 3))
+
+        def build():
+            return Sequential(
+                [Flatten(), Dense(18, 8, seed=3), ReLU(), Dense(8, 2, seed=4), Reshape((2, 1))]
+            )
+
+        full, skipped = build(), build()
+        grad = rng.normal(size=(5, 2, 1))
+        full.forward(inputs)
+        assert full.backward(grad).shape == inputs.shape
+        skipped.forward(inputs)
+        skipped.layers[0].release_buffers()  # a backward through Flatten would now raise
+        assert skipped.backward(grad, input_grad=False) is None
+        for a, b in zip(full.parameter_layers(), skipped.parameter_layers()):
+            for x, y in zip(self._grads(a), self._grads(b)):
+                assert (x == y).all()
+
+    def test_composite_first_layer_gets_parameter_gradients_only(self):
+        rng = np.random.default_rng(23)
+        inputs = rng.normal(size=(2, 3, 5, 5))
+        grad = rng.normal(size=(2, 3, 5, 5))
+        full = Sequential([ResidualBlock(3, seed=5), ReLU()])
+        skipped = Sequential([ResidualBlock(3, seed=5), ReLU()])
+        full.forward(inputs)
+        full.backward(grad)
+        skipped.forward(inputs)
+        assert skipped.backward(grad, input_grad=False) is None
+        assert len(full.parameter_layers()) == 2
+        for a, b in zip(full.parameter_layers(), skipped.parameter_layers()):
+            for x, y in zip(self._grads(a), self._grads(b)):
+                assert (x == y).all()
+        assert "grad" not in skipped.layers[0].conv1._buffers
+        assert "grad" in skipped.layers[0].conv2._buffers
+
+    def test_seed_conv_still_computes_the_input_gradient(self):
+        rng = np.random.default_rng(24)
+        inputs = rng.normal(size=(2, 2, 4, 4))
+        layer = SeedConv2D(2, 3, kernel=3, seed=6)
+        layer.forward(inputs)
+        grad_in = layer.backward(rng.normal(size=(2, 3, 4, 4)), input_grad=False)
+        assert grad_in is not None and grad_in.shape == inputs.shape
+
+    def test_with_conv_class_reclasses_nested_convs(self):
+        network = Sequential([Conv2D(1, 2, seed=0), ResidualBlock(2, seed=1)])
+        with_conv_class(network, SeedConv2D)
+        convs = network.parameter_layers()
+        assert len(convs) == 3
+        assert all(type(layer) is SeedConv2D for layer in convs)
 
 
 class TestSequential:

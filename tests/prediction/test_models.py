@@ -149,3 +149,30 @@ class TestArchitectureComponents:
         )
         closeness = np.zeros((1, 4, 5, 5))
         assert network.forward(closeness).shape == (1, 5, 5)
+
+
+class TestFittedModelFootprint:
+    def test_no_layer_holds_a_batch_sized_array(self, fitted_models, tiny_dataset):
+        """A fitted model keeps parameter-shaped arrays only: no unfold
+        buffers, cached batch inputs or ReLU masks survive fit/predict."""
+        from repro.prediction.layers import Layer
+
+        def reachable_layers(layer):
+            # Walk attributes, not children(), so a sub-layer missing from
+            # children() is still inspected.
+            yield layer
+            for value in vars(layer).values():
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, Layer):
+                        yield from reachable_layers(item)
+
+        targets = evaluation_targets(tiny_dataset, tiny_dataset.split.test_days)
+        for name, model in fitted_models.items():
+            model.predict(tiny_dataset, RESOLUTION, targets)
+            for layer in reachable_layers(model._trainer.network):
+                shapes = {value.shape for value in layer.params.values()}
+                for attribute, value in vars(layer).items():
+                    held = value.values() if isinstance(value, dict) else [value]
+                    for array in held:
+                        if isinstance(array, np.ndarray):
+                            assert array.shape in shapes, (name, type(layer), attribute)

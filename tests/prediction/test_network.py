@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.prediction.deepst import ResidualBlock
-from repro.prediction.layers import Conv2D, Dense, ReLU, Sequential
+from repro.prediction.deepst import DeepSTPredictor, ResidualBlock
+from repro.prediction.dmvst import DMVSTNetPredictor
+from repro.prediction.layers import Conv2D, Dense, Layer, ReLU, Sequential
+from repro.prediction.mlp import MLPPredictor
 from repro.prediction.network import (
     Trainer,
     collect_parameter_layers,
@@ -85,8 +87,10 @@ class TestTrainer:
                 merged = np.concatenate(inputs, axis=1)
                 return super().forward(merged, training=training)
 
-            def backward(self, grad_output):
-                grad = super().backward(grad_output)
+            def backward(self, grad_output, input_grad=True):
+                grad = super().backward(grad_output, input_grad=input_grad)
+                if grad is None:
+                    return None
                 return grad[:, :2], grad[:, 2:]
 
         network = ConcatNetwork([Dense(4, 8, seed=0), ReLU(), Dense(8, 1, seed=1)])
@@ -244,3 +248,81 @@ class TestBufferLifecycle:
         assert conv._buffers == {}
         trainer.predict(inputs, batch_size=4)
         assert conv._buffers == {}
+
+
+class _FullBackward(Layer):
+    """Wraps a network so the trainer's backward also computes the input gradient."""
+
+    def __init__(self, network):
+        self.network = network
+
+    def forward(self, inputs, training=True):
+        return self.network.forward(inputs, training=training)
+
+    def backward(self, grad_output, input_grad=True):
+        return self.network.backward(grad_output)
+
+    def children(self):
+        return [self.network]
+
+
+class TestParameterGradientsOnlyTraining:
+    """Skipping the network-input gradient leaves training bit-identical."""
+
+    def test_trainer_requests_parameter_gradients_only(self):
+        requested = []
+
+        class SpyDense(Dense):
+            def backward(self, grad_output, input_grad=True):
+                requested.append(input_grad)
+                return super().backward(grad_output, input_grad=input_grad)
+
+        rng = np.random.default_rng(12)
+        network = Sequential([SpyDense(3, 4, seed=0), ReLU(), Dense(4, 1, seed=1)])
+        Trainer(network, epochs=2, batch_size=8, seed=0).fit(
+            rng.normal(size=(16, 3)), rng.normal(size=(16, 1))
+        )
+        assert requested == [False] * 4
+
+    @pytest.mark.parametrize(
+        "make_predictor",
+        [
+            lambda: MLPPredictor(hidden_sizes=(16, 8), seed=0),
+            lambda: DeepSTPredictor(filters=4, seed=0),
+            lambda: DMVSTNetPredictor(filters=4, seed=0),
+        ],
+        ids=["mlp", "deepst", "dmvst"],
+    )
+    def test_history_and_parameters_match_full_backward(self, make_predictor):
+        resolution = 6
+        predictor = make_predictor()
+        rng = np.random.default_rng(11)
+
+        def inputs(samples):
+            shape = (samples, predictor.closeness, resolution, resolution)
+            views = {"closeness": rng.random(shape)}
+            if predictor.period:
+                views["period"] = rng.random((samples, predictor.period, resolution, resolution))
+            return predictor.arrange_inputs(views)
+
+        train, val = inputs(40), inputs(12)
+        train_targets = rng.random((40, resolution, resolution))
+        val_targets = rng.random((12, resolution, resolution))
+
+        def fit(wrap):
+            network = make_predictor().build_network(resolution)
+            trainer = Trainer(wrap(network), epochs=3, batch_size=16, patience=None, seed=0)
+            history = trainer.fit(train, train_targets, val, val_targets)
+            params = [
+                value.copy()
+                for layer in network.parameter_layers()
+                for value in layer.params.values()
+            ]
+            return history, params
+
+        skipped_history, skipped_params = fit(lambda network: network)
+        full_history, full_params = fit(_FullBackward)
+        assert skipped_history == full_history
+        assert len(skipped_params) == len(full_params)
+        for a, b in zip(skipped_params, full_params):
+            assert (a == b).all()
