@@ -28,10 +28,6 @@ from repro.dispatch.matching import (
     greedy_pairs_masked,
     min_cost_pairs,
     max_weight_pairs,
-    edge_components,
-    min_cost_pairs_blocked,
-    max_weight_pairs_blocked,
-    greedy_pairs_masked_blocked,
 )
 from repro.dispatch.spatial import GridBucketIndex
 from repro.dispatch.demand import (
@@ -44,7 +40,6 @@ from repro.dispatch.engine import (
     ArrayPolicy,
     VectorizedAssignmentEngine,
     supports_array_kernels,
-    supports_sparse_matching,
 )
 from repro.dispatch.simulator import (
     AssignmentPolicy,
@@ -87,10 +82,6 @@ __all__ = [
     "greedy_pairs_masked",
     "min_cost_pairs",
     "max_weight_pairs",
-    "edge_components",
-    "min_cost_pairs_blocked",
-    "max_weight_pairs_blocked",
-    "greedy_pairs_masked_blocked",
     "GridBucketIndex",
     "PredictedDemandProvider",
     "orders_from_events",
@@ -99,7 +90,6 @@ __all__ = [
     "ArrayPolicy",
     "VectorizedAssignmentEngine",
     "supports_array_kernels",
-    "supports_sparse_matching",
     "AssignmentPolicy",
     "TaskAssignmentSimulator",
     "spawn_drivers",

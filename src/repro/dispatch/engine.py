@@ -48,13 +48,12 @@ pipeline (``sparse="auto"|"always"|"never"``) replaces that with:
 2. **prune** — per order, gather only the drivers inside the feasibility
    radius box and apply the dense path's bit-identical feasibility
    arithmetic to them;
-3. **decompose** — split the pruned feasibility graph into connected
-   components (:func:`~repro.dispatch.matching.edge_components`, canonical
-   ordering documented there);
-4. **solve** — run the policy's ``match_pairs`` kernel on each small block
-   and merge the pairs back into the dense kernel's emission order
-   (``policy.match_order``: ``"row"`` for the assignment solvers, ``"cost"``
-   for the greedy scan).
+3. **reduce** — keep, per order, only its ``k`` cheapest feasible drivers
+   (tie-inclusive), where ``k`` bounds how many orders can share a feasible
+   driver with it — no matching ever needs a costlier one;
+4. **solve** — run the policy's ``match_pairs`` kernel once on the orders
+   touching an edge x the kept drivers.  Both stay in ascending dense order,
+   so the kernel emits its pairs in the dense emission order directly.
 
 The per-batch cost drops from O(N*M) to output-sensitive near-linear work.
 ``"auto"`` switches the sparse path on once ``pending * idle`` crosses
@@ -89,7 +88,6 @@ from repro.dispatch.entities import (
     OrderArrays,
     online_mask,
 )
-from repro.dispatch.matching import edge_components
 from repro.dispatch.spatial import GridBucketIndex
 from repro.dispatch.travel import TravelModel
 
@@ -160,17 +158,56 @@ def supports_array_kernels(policy: object) -> bool:
     return hasattr(policy, "reposition_arrays") and hasattr(policy, "match_pairs")
 
 
-def supports_sparse_matching(policy: object) -> bool:
-    """True if ``policy`` can run the component-decomposed sparse pipeline.
+def _share_bounds(
+    travel: TravelModel, x: np.ndarray, y: np.ndarray, radii_km: np.ndarray
+) -> np.ndarray:
+    """Per order, an upper bound on the orders that can share a feasible driver.
 
-    Beyond the array kernels, the policy must declare its ``match_order``
-    (``"row"`` or ``"cost"``) so the engine can merge per-component pairs
-    back into the dense kernel's emission order.
+    Two orders share a driver only if their feasibility discs overlap
+    (triangle inequality, which both :class:`TravelModel` metrics obey), so
+    the count of overlapping discs — the order itself included — bounds it.
+    The slack absorbs the rounding of the radii and distances against the
+    exact feasibility arithmetic: a looser bound never changes results, a
+    tighter one could.
     """
-    return supports_array_kernels(policy) and getattr(policy, "match_order", None) in (
-        "row",
-        "cost",
-    )
+    reach = radii_km[:, None] + radii_km[None, :]
+    reach *= 1.0 + 1e-9
+    reach += 1e-9
+    return np.count_nonzero(travel.pairwise_km(x, y, x, y) <= reach, axis=1)
+
+
+def _reduced_block(
+    edge_rows: np.ndarray,
+    edge_cols: np.ndarray,
+    edge_km: np.ndarray,
+    k_rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows touching an edge and the columns any matching can use, ascending.
+
+    ``edge_rows`` must be non-decreasing.  Row ``r`` keeps its ``k_rows[r]``
+    cheapest edges, tie-inclusive.  Exchange argument: if at most ``k`` rows
+    (``r`` included) can share a column with ``r``, then matched to a
+    costlier column at most ``k - 1`` cheaper ones are taken, so moving to a
+    free cheaper one never worsens the objective; the greedy scan can
+    likewise be pushed past at most ``k - 1`` taken columns.  "Cheapest" is smallest
+    pickup distance for both objectives (LS's net-revenue weight is revenue
+    minus a non-negative multiple of distance, monotone per row), and the
+    tie-inclusive cut keeps every column a tie-break could pick.
+    """
+    # Each row's edges are one slice of the non-decreasing edge_rows.
+    starts = edge_rows.searchsorted(np.arange(int(k_rows.size) + 1, dtype=np.intp))
+    rows = np.flatnonzero(np.diff(starts))
+    kept: List[np.ndarray] = []
+    for row in rows.tolist():
+        lo, hi = int(starts[row]), int(starts[row + 1])
+        k = max(int(k_rows[row]), 1)
+        if hi - lo > k:
+            row_km = edge_km[lo:hi]
+            kth = np.partition(row_km, k - 1)[k - 1]
+            kept.append(edge_cols[lo:hi][row_km <= kth])
+        else:
+            kept.append(edge_cols[lo:hi])
+    return rows, np.unique(np.concatenate(kept))
 
 
 class VectorizedAssignmentEngine:
@@ -182,8 +219,7 @@ class VectorizedAssignmentEngine:
     ``sparse`` selects the matching pipeline: ``"never"`` always builds the
     dense candidate matrix (the PR 2 behaviour and the oracle), ``"always"``
     always prunes through the grid index, ``"auto"`` (default) switches per
-    batch on :data:`SPARSE_AUTO_THRESHOLD`.  Policies that do not declare a
-    ``match_order`` fall back to the dense path regardless of the mode.
+    batch on :data:`SPARSE_AUTO_THRESHOLD`.
     """
 
     def __init__(
@@ -195,17 +231,12 @@ class VectorizedAssignmentEngine:
         unserved_penalty_km: float = 5.0,
         sparse: str = "auto",
         sparse_threshold: int = SPARSE_AUTO_THRESHOLD,
-        sparse_resolution: Optional[int] = None,
         minutes_per_slot: Optional[float] = None,
     ) -> None:
         if sparse not in SPARSE_MODES:
             raise ValueError(f"sparse must be one of {SPARSE_MODES}")
         if sparse_threshold < 0:
             raise ValueError("sparse_threshold must be non-negative")
-        if sparse_resolution is not None and not 1 <= sparse_resolution <= 255:
-            # Fail at construction, not minutes into a run when the first
-            # sparse batch builds a GridBucketIndex.
-            raise ValueError("sparse_resolution must be in [1, 255]")
         if minutes_per_slot is not None and minutes_per_slot <= 0:
             raise ValueError("minutes_per_slot must be positive")
         self.policy = policy
@@ -215,9 +246,7 @@ class VectorizedAssignmentEngine:
         self.unserved_penalty_km = unserved_penalty_km
         self.sparse = sparse
         self.sparse_threshold = int(sparse_threshold)
-        self.sparse_resolution = sparse_resolution
         self.minutes_per_slot = minutes_per_slot
-        self._sparse_capable = supports_sparse_matching(policy)
 
     # ------------------------------------------------------------------ #
 
@@ -366,11 +395,9 @@ class VectorizedAssignmentEngine:
         return self.demand.hgrid_demand(day, slot)
 
     def _use_sparse(self, alive: int, idle: int) -> bool:
-        if not self._sparse_capable or self.sparse == "never":
-            return False
         if self.sparse == "always":
             return True
-        return alive * idle >= self.sparse_threshold
+        return self.sparse == "auto" and alive * idle >= self.sparse_threshold
 
     def _run_slot(
         self,
@@ -415,7 +442,7 @@ class VectorizedAssignmentEngine:
         idle_x: np.ndarray,
         idle_y: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index -> prune -> decompose -> solve one batch without the dense matrix.
+        """Index -> prune -> reduce -> solve one batch without the dense matrix.
 
         Returns ``(rows, cols, pickup_km)`` with rows/cols indexing the alive
         orders / idle drivers of the batch, in the policy's dense emission
@@ -425,9 +452,7 @@ class VectorizedAssignmentEngine:
         travel = self.travel
         speed = travel.speed_kmh
         empty = np.empty(0, dtype=np.intp)
-        index = GridBucketIndex(
-            idle_x, idle_y, travel, resolution=self.sparse_resolution
-        )
+        index = GridBucketIndex(idle_x, idle_y, travel)
         # Max feasible pickup distance from each order's remaining wait
         # tolerance: pickup_minutes + wait <= limit <=> km <= slack / 60 *
         # speed.  The box query is conservative (one-cell safety ring), and
@@ -454,109 +479,28 @@ class VectorizedAssignmentEngine:
         edge_km = distance[keep]
         if edge_rows.size == 0:
             return empty, empty.copy(), np.empty(0, dtype=float)
-        components = edge_components(
-            edge_rows, edge_cols, int(alive_x.size), int(idle_x.size)
+        # edge_rows is non-decreasing: candidates are gathered per ascending
+        # order, as _reduced_block requires.
+        rows, cols = _reduced_block(
+            edge_rows,
+            edge_cols,
+            edge_km,
+            _share_bounds(travel, alive_x, alive_y, radii_km),
         )
-        # edge_rows is non-decreasing (candidates were gathered per ascending
-        # order), so each order's edges are one slice.
-        row_starts = edge_rows.searchsorted(
-            np.arange(int(alive_x.size) + 1, dtype=np.intp)
+        # One solve on rows touching an edge x kept columns, both ascending:
+        # the submatrix keeps the dense matrix's relative row and column
+        # order, so match_pairs emits its pairs in the dense emission order.
+        sub_distance = travel.pairwise_km(
+            alive_x[rows], alive_y[rows], idle_x[cols], idle_y[cols]
         )
-        single_order = getattr(self.policy, "match_single_order", None)
-        single_driver = getattr(self.policy, "match_single_driver", None)
-        out_rows: List[np.ndarray] = []
-        out_cols: List[np.ndarray] = []
-        out_km: List[np.ndarray] = []
-        for rows, cols in components:
-            if rows.size == 1 and single_order is not None:
-                # Star component (one order): its columns are exactly its
-                # feasible edges, so the block solve collapses to the
-                # policy's single-row rule.  The edge slice is in cell-major
-                # candidate order; the canonical block has ascending columns,
-                # so sort this (small) slice to keep the first-occurrence
-                # tie-break identical to the dense kernels'.
-                row = int(rows[0])
-                lo, hi = int(row_starts[row]), int(row_starts[row + 1])
-                row_cols = edge_cols[lo:hi]
-                row_km = edge_km[lo:hi]
-                col_order = np.argsort(row_cols, kind="stable")
-                row_cols = row_cols[col_order]
-                row_km = row_km[col_order]
-                local = single_order(row_km, float(alive_revenue[row]))
-                if local < 0:
-                    continue
-                out_rows.append(rows)
-                out_cols.append(row_cols[local : local + 1])
-                out_km.append(row_km[local : local + 1])
-                continue
-            if cols.size == 1 and single_driver is not None:
-                # Star component (one driver): every row is feasible for it.
-                col_km = np.asarray(
-                    travel.distance_km(
-                        alive_x[rows], alive_y[rows], idle_x[cols[0]], idle_y[cols[0]]
-                    )
-                )
-                local = single_driver(col_km, alive_revenue[rows])
-                if local < 0:
-                    continue
-                out_rows.append(rows[local : local + 1])
-                out_cols.append(cols)
-                out_km.append(col_km[local : local + 1])
-                continue
-            if cols.size > 4 * rows.size:
-                # Column reduction: with k rows in a block, a matching only
-                # ever uses each row's k cheapest feasible columns (exchange
-                # argument: a row matched outside its k cheapest always has an
-                # unassigned cheaper column to swap to; the greedy scan can
-                # likewise never be pushed past k-1 taken columns).  The
-                # threshold is tie-inclusive — every column tied with the k-th
-                # cheapest is kept — so the reduced block sees the identical
-                # candidate prefix as the full block in all tie-break orders.
-                # "Cheapest" is smallest pickup distance for both objectives
-                # (LS's net-revenue weight is revenue minus a non-negative
-                # multiple of distance, monotone per row), and the per-row
-                # distances are already in the edge arrays.  This caps a
-                # hotspot mega-block at ~k x k^2 instead of k x fleet.
-                k = rows.size
-                kept: List[np.ndarray] = []
-                for row in rows.tolist():
-                    lo, hi = int(row_starts[row]), int(row_starts[row + 1])
-                    row_km = edge_km[lo:hi]
-                    if row_km.size > k:
-                        kth = np.partition(row_km, k - 1)[k - 1]
-                        kept.append(edge_cols[lo:hi][row_km <= kth])
-                    else:
-                        kept.append(edge_cols[lo:hi])
-                cols = np.unique(np.concatenate(kept))
-            sub_distance = travel.pairwise_km(
-                alive_x[rows], alive_y[rows], idle_x[cols], idle_y[cols]
-            )
-            scratch = sub_distance / speed
-            scratch *= 60.0
-            scratch += alive_waits[rows][:, None]
-            sub_feasible = scratch <= alive_limits[rows][:, None]
-            local_rows, local_cols = self.policy.match_pairs(
-                sub_distance, sub_feasible, alive_revenue[rows]
-            )
-            if local_rows.size == 0:
-                continue
-            out_rows.append(rows[local_rows])
-            out_cols.append(cols[local_cols])
-            out_km.append(sub_distance[local_rows, local_cols])
-        if not out_rows:
-            return empty, empty.copy(), np.empty(0, dtype=float)
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        pair_km = np.concatenate(out_km)
-        # Merge into the dense kernel's emission order (see
-        # merge_pairs_by_row / merge_pairs_by_cost in matching.py): ascending
-        # row for the assignment solvers, ascending (cost, row-major flat
-        # position) for the greedy scan.
-        if self.policy.match_order == "cost":
-            order = np.lexsort((rows * int(idle_x.size) + cols, pair_km))
-        else:
-            order = np.argsort(rows, kind="stable")
-        return rows[order], cols[order], pair_km[order]
+        scratch = sub_distance / speed
+        scratch *= 60.0
+        scratch += alive_waits[rows][:, None]
+        sub_feasible = scratch <= alive_limits[rows][:, None]
+        local_rows, local_cols = self.policy.match_pairs(
+            sub_distance, sub_feasible, alive_revenue[rows]
+        )
+        return rows[local_rows], cols[local_cols], sub_distance[local_rows, local_cols]
 
 
 class _SlotRun:

@@ -28,10 +28,6 @@ class LSDispatcher:
 
     name = "ls"
 
-    #: :meth:`match_pairs` emits pairs by ascending row (Hungarian solver);
-    #: the engine's sparse pipeline merges per-component pairs accordingly.
-    match_order = "row"
-
     def __init__(
         self,
         mean_order_revenue: float = 8.0,
@@ -203,25 +199,3 @@ class LSDispatcher:
         """
         weight = revenue[:, None] - self.pickup_cost_per_km * distance
         return max_weight_pairs(weight, feasible, min_weight=0.0)
-
-    def match_single_order(self, distance: np.ndarray, revenue: float) -> int:
-        """Star-component fast path: best driver for one order, or ``-1``.
-
-        On a fully-feasible ``1 x k`` block the maximum-weight matching is
-        the maximum-net-revenue driver (ties to the smallest index, exactly
-        :func:`scipy.optimize.linear_sum_assignment`'s tie-break), subject to
-        the ``min_weight=0`` profitability floor.
-        """
-        weight = revenue - self.pickup_cost_per_km * distance
-        best = int(np.argmax(weight))
-        if weight[best] < 0.0:
-            return -1
-        return best
-
-    def match_single_driver(self, distance: np.ndarray, revenue: np.ndarray) -> int:
-        """Star-component fast path: best order for one driver, or ``-1``."""
-        weight = revenue - self.pickup_cost_per_km * distance
-        best = int(np.argmax(weight))
-        if weight[best] < 0.0:
-            return -1
-        return best

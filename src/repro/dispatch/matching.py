@@ -10,7 +10,7 @@ to accumulate metrics in the same float-addition order as the scalar engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -230,226 +230,6 @@ def max_weight_pairs(
     return row_indices[keep].astype(np.intp, copy=False), col_indices[keep].astype(
         np.intp, copy=False
     )
-
-
-# --------------------------------------------------------------------- #
-# Component-decomposed (sparse) matching
-# --------------------------------------------------------------------- #
-#
-# The feasibility mask of a dispatch batch is sparse and spatially local:
-# an order can only reach drivers inside its wait-tolerance radius, so the
-# bipartite feasibility graph falls apart into many small connected
-# components.  Matchings never cross components (an infeasible pair is never
-# assigned), so each component can be solved independently with the dense
-# kernels above on a tiny submatrix instead of one O(n^3) solve over the
-# whole (orders x drivers) matrix.
-#
-# Canonical component ordering (relied on by the vectorized engine and the
-# result caches): components are listed by their smallest row (order) index,
-# and rows/columns inside a component are ascending.  Submatrices therefore
-# preserve the relative row/column order of the dense matrix, and the merged
-# pair list is re-sorted into exactly the dense kernel's emission order —
-# ascending row for the assignment solvers, ascending (cost, row-major
-# position) for the greedy scan.
-#
-# Equivalence caveat: a Hungarian solve has a unique answer up to ties; when
-# two assignments of equal total cost exist *inside one component*, SciPy's
-# tie-break on the small submatrix can in principle differ from its
-# tie-break on the full padded matrix.  The greedy kernels are exactly
-# equivalent by construction (the global stable (cost, position) scan order
-# restricted to a component equals the component's own scan order).  The
-# engine equivalence suite and the randomized property tests in
-# ``tests/dispatch/test_sparse_matching.py`` pin the behaviour on real
-# workloads; the dense path remains the oracle.
-
-
-def edge_components(
-    edge_rows: np.ndarray,
-    edge_cols: np.ndarray,
-    n_rows: int,
-    n_cols: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Connected components of a bipartite edge list.
-
-    ``edge_rows[k]``/``edge_cols[k]`` is one feasible (order, driver) pair.
-    Returns ``[(rows, cols), ...]`` in the canonical order documented above;
-    rows and columns that touch no edge appear in no component (they can
-    never be matched).
-    """
-    edge_rows = np.asarray(edge_rows, dtype=np.intp)
-    edge_cols = np.asarray(edge_cols, dtype=np.intp)
-    if edge_rows.shape != edge_cols.shape:
-        raise ValueError("edge_rows and edge_cols must be equally sized")
-    if edge_rows.size == 0:
-        return []
-    if np.any(edge_rows < 0) or np.any(edge_rows >= n_rows):
-        raise ValueError("edge_rows out of range")
-    if np.any(edge_cols < 0) or np.any(edge_cols >= n_cols):
-        raise ValueError("edge_cols out of range")
-    # Compress the column space to the columns that touch an edge, so the
-    # propagation below works on arrays sized by the (pruned) edge set
-    # rather than the full fleet.
-    col_has_edge = np.zeros(n_cols, dtype=bool)
-    col_has_edge[edge_cols] = True
-    cols_used = np.flatnonzero(col_has_edge)
-    col_map = np.empty(n_cols, dtype=np.intp)
-    col_map[cols_used] = np.arange(cols_used.size)
-    edge_cols_c = col_map[edge_cols]
-    # Bipartite min-label propagation, fully vectorised and direct-addressed:
-    # every row starts with its own index as label, labels flow
-    # row -> column -> row via scatter-min until a fixed point.  Each sweep
-    # is two C-level passes over the edge list, and the sweep count is
-    # bounded by half the component diameter — a small constant for the
-    # spatially-local feasibility graphs this serves (a Python union-find
-    # here was the sparse pipeline's hot spot at fleet scale).
-    row_label = np.arange(n_rows, dtype=np.intp)
-    col_label = np.full(cols_used.size, n_rows, dtype=np.intp)  # sentinel
-    while True:
-        np.minimum.at(col_label, edge_cols_c, row_label[edge_rows])
-        new_row = row_label.copy()
-        np.minimum.at(new_row, edge_rows, col_label[edge_cols_c])
-        if np.array_equal(new_row, row_label):
-            break
-        row_label = new_row
-    # Rows that touch no edge can never be matched and are dropped.
-    row_has_edge = np.zeros(n_rows, dtype=bool)
-    row_has_edge[edge_rows] = True
-    rows_used = np.flatnonzero(row_has_edge)
-    # A component's label is its smallest row index, so ascending labels are
-    # already the canonical component order (ascending minimum row).
-    uniq = np.unique(row_label[rows_used])
-    row_comp = np.searchsorted(uniq, row_label[rows_used])
-    # Every used column is connected to at least one row, so its label is
-    # always present in ``uniq``.
-    col_comp = np.searchsorted(uniq, col_label)
-    return list(
-        zip(
-            _group_by_component(rows_used, row_comp, uniq.size),
-            _group_by_component(cols_used, col_comp, uniq.size),
-        )
-    )
-
-
-def _group_by_component(
-    values: np.ndarray, component: np.ndarray, n_components: int
-) -> List[np.ndarray]:
-    """Split ascending ``values`` into per-component ascending groups."""
-    order = np.argsort(component, kind="stable")
-    grouped = values[order]
-    bounds = np.cumsum(np.bincount(component, minlength=n_components))
-    groups: List[np.ndarray] = []
-    low = 0
-    for high in bounds.tolist():
-        groups.append(grouped[low:high])
-        low = high
-    return groups
-
-
-def merge_pairs_by_row(
-    rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-order merged component pairs into ascending-row order.
-
-    This is the emission order of :func:`min_cost_pairs` /
-    :func:`max_weight_pairs` (``linear_sum_assignment`` returns rows
-    ascending, and rows are unique across components).
-    """
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order]
-
-
-def merge_pairs_by_cost(
-    rows: np.ndarray, cols: np.ndarray, costs: np.ndarray, n_cols: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-order merged component pairs into the greedy scan's emission order.
-
-    :func:`greedy_pairs_masked` emits accepted pairs in ascending
-    ``(cost, row-major position)`` order; ``n_cols`` is the column count of
-    the *dense* matrix so the flat position tie-break matches its stable
-    sort exactly.
-    """
-    flat = rows * n_cols + cols
-    order = np.lexsort((flat, costs))
-    return rows[order], cols[order]
-
-
-def _blocked_pairs(
-    cost: np.ndarray,
-    feasible: np.ndarray,
-    solver: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose ``feasible`` into components and run ``solver`` per block.
-
-    Returns the unmerged ``(rows, cols, costs)`` global pair arrays (in
-    canonical component order); callers apply the merge that matches their
-    dense kernel's emission order.
-    """
-    empty = np.empty(0, dtype=np.intp)
-    edge_rows, edge_cols = np.nonzero(feasible)
-    if edge_rows.size == 0:
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    out_rows: List[np.ndarray] = []
-    out_cols: List[np.ndarray] = []
-    out_costs: List[np.ndarray] = []
-    for rows, cols in edge_components(edge_rows, edge_cols, *cost.shape):
-        sub_cost = cost[np.ix_(rows, cols)]
-        sub_feasible = feasible[np.ix_(rows, cols)]
-        local_rows, local_cols = solver(sub_cost, sub_feasible)
-        if local_rows.size == 0:
-            continue
-        out_rows.append(rows[local_rows])
-        out_cols.append(cols[local_cols])
-        out_costs.append(sub_cost[local_rows, local_cols])
-    if not out_rows:
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    return (
-        np.concatenate(out_rows),
-        np.concatenate(out_cols),
-        np.concatenate(out_costs),
-    )
-
-
-def min_cost_pairs_blocked(
-    cost: np.ndarray, feasible: np.ndarray, max_cost: float = np.inf
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`min_cost_pairs`.
-
-    Solves each connected component of the feasibility graph independently
-    and merges the pairs back into ascending-row order.  Output-identical to
-    the dense kernel whenever each component's optimum is unique (see the
-    module caveat above).
-    """
-    rows, cols, _ = _blocked_pairs(
-        cost, feasible, lambda c, f: min_cost_pairs(c, f, max_cost=max_cost)
-    )
-    return merge_pairs_by_row(rows, cols)
-
-
-def max_weight_pairs_blocked(
-    weight: np.ndarray, feasible: np.ndarray, min_weight: float = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`max_weight_pairs`, merged by ascending row."""
-    rows, cols, _ = _blocked_pairs(
-        weight, feasible, lambda w, f: max_weight_pairs(w, f, min_weight=min_weight)
-    )
-    return merge_pairs_by_row(rows, cols)
-
-
-def greedy_pairs_masked_blocked(
-    cost: np.ndarray, feasible: np.ndarray, max_cost: float = np.inf
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-decomposed :func:`greedy_pairs_masked`.
-
-    Exactly equivalent to the dense greedy scan: acceptance conflicts only
-    arise within a component, and the global ascending (cost, row-major
-    position) merge reproduces the dense stable scan order bit for bit.
-    """
-    rows, cols, costs = _blocked_pairs(
-        cost, feasible, lambda c, f: greedy_pairs_masked(c, f, max_cost=max_cost)
-    )
-    if rows.size == 0:
-        return rows, cols
-    return merge_pairs_by_cost(rows, cols, costs, cost.shape[1])
 
 
 def maximum_weight_matching(weight: np.ndarray, min_weight: float = 0.0) -> Dict[int, int]:

@@ -50,17 +50,6 @@ class POLARDispatcher:
         self.max_reposition_km = max_reposition_km
         self.use_optimal_matching = use_optimal_matching
 
-    @property
-    def match_order(self) -> str:
-        """Emission order of :meth:`match_pairs` (sparse-merge contract).
-
-        The Hungarian solver emits pairs by ascending row, the greedy scan by
-        ascending (cost, row-major position); the sparse pipeline in
-        :mod:`repro.dispatch.engine` merges per-component pairs back into
-        this order.
-        """
-        return "row" if self.use_optimal_matching else "cost"
-
     # ------------------------------------------------------------------ #
     # Stage 1: guidance / repositioning
     # ------------------------------------------------------------------ #
@@ -221,24 +210,3 @@ class POLARDispatcher:
         if self.use_optimal_matching:
             return min_cost_pairs(distance, feasible, max_cost=self.max_reposition_km * 10)
         return greedy_pairs_masked(distance, feasible, max_cost=self.max_reposition_km * 10)
-
-    def match_single_order(self, distance: np.ndarray, revenue: float) -> int:
-        """Star-component fast path: best driver for one order, or ``-1``.
-
-        Both POLAR solvers reduce to the same rule on a fully-feasible
-        ``1 x k`` block: the minimum-distance driver within the cost cut-off,
-        ties to the smallest index — exactly
-        :func:`scipy.optimize.linear_sum_assignment`'s (and the greedy
-        scan's) tie-break on that block.
-        """
-        best = int(np.argmin(distance))
-        if distance[best] > self.max_reposition_km * 10:
-            return -1
-        return best
-
-    def match_single_driver(self, distance: np.ndarray, revenue: np.ndarray) -> int:
-        """Star-component fast path: best order for one driver, or ``-1``."""
-        best = int(np.argmin(distance))
-        if distance[best] > self.max_reposition_km * 10:
-            return -1
-        return best

@@ -788,7 +788,7 @@ def large_fleet_scenario(
     the dense vector engine on this scenario and the CI perf gate enforces
     both the speedup floor and sparse/dense metric equality (the default
     POLAR/Hungarian configuration is verified tie-free, so the equality is
-    exact; see the tie caveat in :mod:`repro.dispatch.matching`).
+    exact; see the tie note in :mod:`repro.fuzz.runner`).
     """
     return DispatchScenario(
         city="nyc_like",

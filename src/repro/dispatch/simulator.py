@@ -174,8 +174,8 @@ class TaskAssignmentSimulator:
         always fall back to the scalar loop.
     sparse:
         Matching pipeline of the vectorized engine: ``"auto"`` (default)
-        switches to grid-bucketed candidate pruning with component-decomposed
-        matching on large batches, ``"always"`` forces it, ``"never"`` keeps
+        switches to grid-bucketed candidate pruning with one column-reduced
+        solve on large batches, ``"always"`` forces it, ``"never"`` keeps
         the dense candidate matrix.  All modes produce identical metrics (the
         dense path is the oracle); ignored by the scalar engine.
     sparse_threshold:

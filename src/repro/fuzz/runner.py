@@ -21,17 +21,16 @@ and compares three things against the oracle, all bit-exact:
 
 Benign Hungarian ties
 ---------------------
-One divergence class is expected and documented in
-:mod:`repro.dispatch.matching`: when an assignment problem has several optima
-of equal objective, the full-matrix Hungarian solve (dense pipeline) and the
-per-component solves (sparse pipeline) may pick different ones.  The runner
-therefore classifies a divergence as *benign* only when all of the following
-hold:
+One divergence class is expected: when an assignment problem has several
+optima of equal objective, the full-matrix Hungarian solve (dense pipeline)
+and the column-reduced solve (sparse pipeline) may pick different ones.  The
+runner therefore classifies a divergence as *benign* only when all of the
+following hold:
 
 1. the dense vector run matched the scalar oracle exactly (the oracle
    contract itself is intact — scalar-vs-dense divergences are never benign),
 2. the diverging mode uses the sparse pipeline under a Hungarian-matching
-   policy (``polar`` with optimal matching, or ``ls``; greedy decomposition
+   policy (``polar`` with optimal matching, or ``ls``; the greedy reduction
    is exactly equivalent by construction and gets no such grace), and
 3. a *tie audit* replay of the dense run proves an equal-objective tie: every
    ``match_pairs`` call is re-solved with the candidate columns (and rows)

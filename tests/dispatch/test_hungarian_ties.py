@@ -1,15 +1,14 @@
-"""Pinned Hungarian tie-break divergence: full-matrix vs per-block solves.
+"""Pinned Hungarian tie-break divergence: full-matrix vs reduced solve.
 
-The sparse pipeline solves each connected component of the feasibility graph
-on its own submatrix; the dense pipeline solves one padded full matrix.  When
-an assignment problem has several optima of equal objective, SciPy's
-tie-break on the submatrix can differ from its tie-break on the padded
-matrix — the pair sets diverge while the objective is identical.  This is
-the documented benign divergence class (see the equivalence caveat in
-:mod:`repro.dispatch.matching` and the tie audit in
-:mod:`repro.fuzz.runner`); these tests pin concrete instances so a future
-SciPy or solver change that turns the tie into an *objective* change fails
-loudly instead of being waved through.
+The sparse pipeline solves one submatrix — the rows touching a feasible
+edge x the columns its column reduction keeps — while the dense pipeline
+solves the whole padded matrix.  When an assignment problem has several
+optima of equal objective, SciPy's tie-break on the submatrix can differ
+from its tie-break on the padded matrix — the pair sets diverge while the
+objective is identical.  This is the documented benign divergence class (see
+the tie audit in :mod:`repro.fuzz.runner`); these tests pin concrete
+instances so a future SciPy or solver change that turns the tie into an
+*objective* change fails loudly instead of being waved through.
 """
 
 from __future__ import annotations
@@ -17,8 +16,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dispatch.matching import min_cost_pairs, min_cost_pairs_blocked
+from repro.dispatch.engine import _reduced_block
+from repro.dispatch.matching import min_cost_pairs
 from repro.fuzz.runner import TieAuditPolicy, build_policy
+
+
+def reduced_pairs(cost, feasible):
+    """:func:`min_cost_pairs` on the submatrix the sparse path solves.
+
+    Rows touching an edge x kept columns, from the engine's own reduction;
+    each row's bound is the exact number of rows sharing a feasible column
+    with it (the tightest sound bound), mapped back to dense indices.
+    """
+    edge_rows, edge_cols = np.nonzero(feasible)
+    mask = feasible.astype(np.intp)
+    shared = np.count_nonzero(mask @ mask.T, axis=1)
+    rows, cols = _reduced_block(edge_rows, edge_cols, cost[feasible], shared)
+    block = np.ix_(rows, cols)
+    local_rows, local_cols = min_cost_pairs(cost[block], feasible[block])
+    return rows[local_rows], cols[local_cols]
 
 
 def _pair_set(pairs):
@@ -39,20 +55,19 @@ class TestPinnedColumnTie:
 
     def test_solvers_disagree_on_the_pair_set(self):
         dense = min_cost_pairs(self.COST, self.FEASIBLE)
-        blocked = min_cost_pairs_blocked(self.COST, self.FEASIBLE)
+        reduced = reduced_pairs(self.COST, self.FEASIBLE)
         # Pin the current tie-break of both paths: the padded full-matrix
-        # solve assigns row 1 to column 1, the component solve (whose
-        # submatrix is just [[3, 3]]) to column 0.  If either side changes,
-        # re-pin — the objective equality below is the actual contract.
+        # solve assigns row 1 to column 1, the reduced solve (whose
+        # submatrix is just [[3, 3]]: row 0 touches no edge, and both tied
+        # columns are kept) to column 0.  If either side changes, re-pin —
+        # the objective equality below is the actual contract.
         assert _pair_set(dense) == {(1, 1)}
-        assert _pair_set(blocked) == {(1, 0)}
+        assert _pair_set(reduced) == {(1, 0)}
 
     def test_objectives_are_exactly_equal(self):
         dense = _objective(self.COST, min_cost_pairs(self.COST, self.FEASIBLE))
-        blocked = _objective(
-            self.COST, min_cost_pairs_blocked(self.COST, self.FEASIBLE)
-        )
-        assert dense == blocked == (1, 3.0)
+        reduced = _objective(self.COST, reduced_pairs(self.COST, self.FEASIBLE))
+        assert dense == reduced == (1, 3.0)
 
 
 class TestPinnedRowTie:
@@ -63,13 +78,13 @@ class TestPinnedRowTie:
 
     def test_different_rows_same_objective(self):
         dense = min_cost_pairs(self.COST, self.FEASIBLE)
-        blocked = min_cost_pairs_blocked(self.COST, self.FEASIBLE)
-        assert _pair_set(dense) != _pair_set(blocked)
+        reduced = reduced_pairs(self.COST, self.FEASIBLE)
+        assert _pair_set(dense) != _pair_set(reduced)
         # Both serve exactly one order at cost 2 — but not the same order,
         # which is why benign ties may legitimately change the served-order
         # set (and the downstream driver state) without being a bug.
         assert _objective(self.COST, dense) == (1, 2.0)
-        assert _objective(self.COST, blocked) == (1, 2.0)
+        assert _objective(self.COST, reduced) == (1, 2.0)
 
 
 class TestTieAuditClassifier:
