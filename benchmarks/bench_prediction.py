@@ -30,7 +30,7 @@ The benchmark asserts three properties the CI gate then enforces:
 
 It additionally reports the optional ``float32`` training mode (informational
 speedup) and checks that the prediction suite cache replays byte-identically
-across reruns and across the thread/process executors.
+across reruns.
 
 Run modes
 ---------
@@ -150,7 +150,7 @@ def _history_drift(a, b) -> float:
 
 
 def _suite_cache_section() -> Dict:
-    """Prediction suite byte-stability across reruns and executors."""
+    """Prediction suite byte-stability across reruns."""
     scenarios = predictor_scenarios(
         ["xian_like"],
         models=["historical_average", "mlp"],
@@ -160,26 +160,21 @@ def _suite_cache_section() -> Dict:
         num_days=6,
         hyper=(("epochs", 3), ("max_train_samples", 64)),
     )
-    with tempfile.TemporaryDirectory() as thread_dir, tempfile.TemporaryDirectory() as process_dir:
+    with tempfile.TemporaryDirectory() as cache_dir:
         start = time.perf_counter()
-        PredictionSuiteRunner(scenarios, cache_dir=thread_dir).run()
+        PredictionSuiteRunner(scenarios, cache_dir=cache_dir).run()
         cold_seconds = time.perf_counter() - start
-        first = {p.name: p.read_bytes() for p in Path(thread_dir).glob("*.json")}
+        first = {p.name: p.read_bytes() for p in Path(cache_dir).glob("*.json")}
         start = time.perf_counter()
-        replay = PredictionSuiteRunner(scenarios, cache_dir=thread_dir).run()
+        replay = PredictionSuiteRunner(scenarios, cache_dir=cache_dir).run()
         replay_seconds = time.perf_counter() - start
-        second = {p.name: p.read_bytes() for p in Path(thread_dir).glob("*.json")}
-        PredictionSuiteRunner(
-            scenarios, cache_dir=process_dir, executor="process", max_workers=2
-        ).run()
-        process = {p.name: p.read_bytes() for p in Path(process_dir).glob("*.json")}
+        second = {p.name: p.read_bytes() for p in Path(cache_dir).glob("*.json")}
     return {
         "scenarios": len(scenarios),
         "cold_seconds": cold_seconds,
         "replay_seconds": replay_seconds,
         "replay_hits": replay.cache_hits,
         "rerun_bytes_identical": first == second and len(first) == len(scenarios),
-        "executor_bytes_identical": first == process,
     }
 
 
@@ -273,15 +268,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"suite cache: cold {suite['cold_seconds']:.2f}s, replay "
         f"{suite['replay_seconds']:.2f}s ({suite['replay_hits']} hits), "
-        f"rerun bytes identical: {suite['rerun_bytes_identical']}, "
-        f"executor bytes identical: {suite['executor_bytes_identical']}"
+        f"rerun bytes identical: {suite['rerun_bytes_identical']}"
     )
     print(f"wrote {args.output}")
     ok = (
         training["unfold_swap_identical"]
         and training["forward_identical_to_seed"]
         and suite["rerun_bytes_identical"]
-        and suite["executor_bytes_identical"]
     )
     if not ok:
         print("ERROR: prediction engine equivalence violated", file=sys.stderr)
@@ -301,7 +294,6 @@ def test_prediction_engine_speedup(benchmark):
     assert training["speedup"] > 1.0, training
     assert training["seed_history_drift"] < 1e-6, training
     assert payload["suite_cache"]["rerun_bytes_identical"]
-    assert payload["suite_cache"]["executor_bytes_identical"]
 
 
 def test_reference_config_is_pinned():

@@ -21,7 +21,7 @@ regression:
   (``max_production_seconds_factor`` times the baseline measurement)
   additionally catches pathological slowdowns that hit both modes.
 * **Suite cache** — predictor-suite cache replays must stay byte-identical
-  across reruns and across the thread/process executors.
+  across reruns.
 
 Usage::
 
@@ -102,10 +102,6 @@ def check(current: Dict, baseline: Dict) -> List[str]:
     suite = current.get("suite_cache", {})
     if not suite.get("rerun_bytes_identical", False):
         problems.append("prediction suite cache reruns are not byte-identical")
-    if not suite.get("executor_bytes_identical", False):
-        problems.append(
-            "prediction suite thread/process executors wrote different cache bytes"
-        )
     # The floor/ceiling helpers return None on pass.
     return [problem for problem in problems if problem]
 
@@ -121,10 +117,7 @@ def summarize(current: Dict) -> None:
         f"forward == seed: {training.get('forward_identical_to_seed')}"
     )
     suite = current.get("suite_cache", {})
-    print(
-        f"suite cache byte-stable: rerun {suite.get('rerun_bytes_identical')}, "
-        f"executors {suite.get('executor_bytes_identical')}"
-    )
+    print(f"suite cache byte-stable: rerun {suite.get('rerun_bytes_identical')}")
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,8 @@
 Runs a small scenario grid plus the stress and lifecycle variants of one
 base scenario — driver shift change, overnight skeleton fleet, a
 high-cancellation surge and a 2-day carry-over replay — through the cached
-parallel suite runner, then replays it to show the cache hits.  Equivalent
+suite runner, which fans its dataset groups out across processes, then
+replays it to show the cache hits.  Equivalent
 CLI::
 
     python -m repro dispatch --preset xian --fleet-sizes 30 60 --demand-scales 1 2
@@ -19,13 +20,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.dispatch.scenarios import (
     DispatchScenario,
     lifecycle_scenarios,
+    scenario_grid,
     stress_scenarios,
 )
-from repro.sweep.dispatch import DispatchSuiteRunner, suite_scenarios
+from repro.sweep.dispatch import DispatchSuiteRunner
 
 
 def main() -> None:
-    grid = suite_scenarios(
+    grid = scenario_grid(
         ["xian_like"],
         policies=("polar", "ls"),
         fleet_sizes=(30, 60),
@@ -41,7 +43,7 @@ def main() -> None:
     scenarios = grid + stress_scenarios(base) + lifecycle_scenarios(base)
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        report = DispatchSuiteRunner(scenarios, cache_dir=cache_dir, max_workers=4).run()
+        report = DispatchSuiteRunner(scenarios, cache_dir=cache_dir).run()
         print(f"{len(report.outcomes)} scenarios in {report.seconds:.2f}s\n")
         for outcome in report.outcomes:
             metrics = outcome.metrics
@@ -53,7 +55,7 @@ def main() -> None:
                 f"({'cache' if outcome.from_cache else f'{outcome.seconds * 1e3:.0f} ms'})"
             )
 
-        replay = DispatchSuiteRunner(scenarios, cache_dir=cache_dir, max_workers=4).run()
+        replay = DispatchSuiteRunner(scenarios, cache_dir=cache_dir).run()
         print(
             f"\nreplay: {replay.cache_hits} cache hits, "
             f"{replay.cache_misses} misses in {replay.seconds:.2f}s"

@@ -1,6 +1,6 @@
 """Predictor suite: fan (city x model x resolution) trainings, then dispatch on them.
 
-Trains a small predictor grid through the cached parallel suite runner,
+Trains a small predictor grid through the cached suite runner,
 replays it to show the cache hits, and finally runs one dispatch scenario
 whose repositioning is guided by each model's *predicted* demand — the
 paper's full predict-then-dispatch pipeline.  Equivalent CLI::
@@ -31,7 +31,7 @@ def main() -> None:
     )
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        report = PredictionSuiteRunner(scenarios, cache_dir=cache_dir, max_workers=4).run()
+        report = PredictionSuiteRunner(scenarios, cache_dir=cache_dir).run()
         print(f"{len(report.outcomes)} predictors in {report.seconds:.2f}s\n")
         for outcome in report.outcomes:
             epochs = f"{outcome.epochs_run} epochs" if outcome.epochs_run else "closed form"
@@ -42,7 +42,7 @@ def main() -> None:
             )
         print(f"\nbest model per (city, n, seed): {report.best_models()}")
 
-        replay = PredictionSuiteRunner(scenarios, cache_dir=cache_dir, max_workers=4).run()
+        replay = PredictionSuiteRunner(scenarios, cache_dir=cache_dir).run()
         print(
             f"replay: {replay.cache_hits} cache hits, "
             f"{replay.cache_misses} misses in {replay.seconds:.2f}s\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Multi-city sweep: tune every (city, slot) combination in parallel.
+"""Multi-city sweep: tune every (city, slot) combination.
 
-The script fans OGSS searches across the three city presets and two morning
+The script runs OGSS searches over the three city presets and two morning
 peak slots using the :mod:`repro.sweep` runner, persists the results in an
 on-disk cache, then reruns the sweep to show that the second pass is replayed
 from the cache without recomputation.
@@ -59,12 +59,12 @@ def main() -> None:
         seed=7,
     )
     with tempfile.TemporaryDirectory(prefix="gridtuner-sweep-") as cache_dir:
-        print(f"Sweeping {len(tasks)} (city, slot) combinations in parallel...")
-        report = SweepRunner(tasks, cache_dir=cache_dir, max_workers=4).run()
+        print(f"Sweeping {len(tasks)} (city, slot) combinations...")
+        report = SweepRunner(tasks, cache_dir=cache_dir).run()
         print_report(report)
 
         print("\nRerunning the identical sweep (replayed from the cache)...")
-        print_report(SweepRunner(tasks, cache_dir=cache_dir, max_workers=4).run())
+        print_report(SweepRunner(tasks, cache_dir=cache_dir).run())
 
 
 if __name__ == "__main__":

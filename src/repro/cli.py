@@ -15,14 +15,16 @@ Three subcommands cover the common workflows:
     at a chosen profile and print the reproduced series.
 
 ``sweep``
-    Fan OGSS searches across (city preset x model x slot) combinations in
-    parallel, with a persistent on-disk result cache (rerunning the same
-    sweep replays it from the cache).
+    Run OGSS searches across (city preset x model x slot) combinations, one
+    dataset and one model training per side shared across slots, with a
+    persistent on-disk result cache (rerunning the same sweep replays it from
+    the cache).
 
 ``dispatch``
     Fan dispatch simulations across (city x policy x fleet size x demand
-    scale x seed) scenario points through the vectorized engine, with the
-    same persistent result cache (reruns replay byte-stably).
+    scale x seed) scenario points through the vectorized engine, one worker
+    process per dataset group, with the same persistent result cache (reruns
+    replay byte-stably).
 
 ``predict``
     Fan predictor trainings across (city x model x resolution x seed)
@@ -57,7 +59,7 @@ Examples
     python -m repro tune --city nyc_like --model deepst --budget 256 --algorithm iterative
     python -m repro curve --city xian_like --model historical_average --sides 2 4 8 16
     python -m repro experiment fig3 --profile tiny
-    python -m repro sweep --preset nyc,chengdu,xian --slots 16 17 --workers 4
+    python -m repro sweep --preset nyc,chengdu,xian --slots 16 17
     python -m repro dispatch --preset nyc --fleet-sizes 100 200 --demand-scales 1 2
     python -m repro predict --preset nyc --models mlp,deepst --resolutions 4 8
     python -m repro fuzz --seed 7 --samples 200 --report fuzz-report.json
@@ -103,6 +105,14 @@ from repro.utils.cache import canonical_json
 EXPERIMENT_NAMES = ("fig3", "fig4", "fig5", "fig6", "table3", "table4")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -145,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = subparsers.add_parser(
-        "sweep", help="parallel OGSS sweep across city presets with result caching"
+        "sweep", help="OGSS sweep across city presets with result caching"
     )
     sweep.add_argument(
         "--preset",
@@ -175,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tiny", "small", "paper"),
         default="tiny",
         help="experiment scale profile for dataset/budget (default: tiny)",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads (default: min(tasks, CPU count))",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -252,19 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     dispatch.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "worker pool backend; 'process' sidesteps the GIL on "
-            "matching-heavy scenario suites (default: thread)"
-        ),
-    )
-    dispatch.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="worker threads/processes (default: min(scenarios, CPU count))",
+        help=(
+            "worker processes; each runs the scenarios sharing one dataset "
+            "(default: min(dataset groups, CPU count))"
+        ),
     )
     dispatch.add_argument(
         "--guidance",
@@ -330,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = subparsers.add_parser(
         "predict",
-        help="parallel predictor-training suite (city x model x resolution x seed)",
+        help="predictor-training suite (city x model x resolution x seed)",
     )
     predict.add_argument(
         "--preset",
@@ -376,18 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the training-sample cap for the neural models",
-    )
-    predict.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool backend (default: thread)",
-    )
-    predict.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads/processes (default: min(scenarios, CPU count))",
     )
     predict.add_argument(
         "--cache-dir",
@@ -877,7 +863,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             profile=args.profile,
             cache_dir=cache_dir,
-            max_workers=args.workers,
         )
     except (ValueError, OSError) as exc:
         # OSError covers unusable cache directories (e.g. the path exists
@@ -929,7 +914,6 @@ def _command_dispatch(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             engine=args.engine,
             matching=args.matching,
-            executor=args.executor,
             sparse=args.sparse,
             guidance=args.guidance,
             scenario_family=args.scenario,
@@ -1009,8 +993,6 @@ def _command_predict(args: argparse.Namespace) -> int:
             seeds=args.seeds,
             profile=args.profile,
             cache_dir=cache_dir,
-            max_workers=args.workers,
-            executor=args.executor,
             hyper=tuple(hyper),
         )
     except (ValueError, OSError) as exc:
@@ -1048,7 +1030,7 @@ def _command_predict(args: argparse.Namespace) -> int:
                 "cache",
             ],
             rows,
-            title=f"Predictor suite ({args.executor} executor, profile={args.profile})",
+            title=f"Predictor suite (profile={args.profile})",
         )
     )
     print(

@@ -13,7 +13,6 @@ refit at the selected side does not train it again.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, MutableMapping, Optional, Sequence, Tuple
 
@@ -79,11 +78,7 @@ class UpperBoundEvaluator:
         in their alpha slot (e.g. the per-slot tuners in
         :mod:`repro.core.slotwise`) can share one cache and train each model
         once instead of once per slot.  Requires a deterministic
-        ``model_factory``.  If the mapping additionally provides a
-        ``lock_for(side)`` method returning a context manager (see
-        :class:`repro.sweep.runner.SingleFlightModelErrorCache`), the
-        evaluator holds that lock around training so concurrent evaluators
-        sharing the cache train each side exactly once.
+        ``model_factory``.
 
     Retained model
     --------------
@@ -184,7 +179,7 @@ class UpperBoundEvaluator:
         return result
 
     def _model_error(self, mgrid_side: int) -> Tuple[float, float, Optional[DemandPredictor]]:
-        """Cached-and-locked wrapper around :meth:`_train_and_measure`.
+        """Cached wrapper around :meth:`_train_and_measure`.
 
         Returns ``(model_error, mae, model)``; ``model`` is ``None`` when
         the entry came from ``model_error_cache``.
@@ -192,15 +187,12 @@ class UpperBoundEvaluator:
         cache = self.model_error_cache
         if cache is None:
             return self._train_and_measure(mgrid_side)
-        lock_for = getattr(cache, "lock_for", None)
-        guard = lock_for(mgrid_side) if lock_for is not None else nullcontext()
-        with guard:
-            if mgrid_side in cache:
-                model_error, mae = cache[mgrid_side]
-                return model_error, mae, None
-            model_error, mae, model = self._train_and_measure(mgrid_side)
-            cache[mgrid_side] = (model_error, mae)
-            return model_error, mae, model
+        if mgrid_side in cache:
+            model_error, mae = cache[mgrid_side]
+            return model_error, mae, None
+        model_error, mae, model = self._train_and_measure(mgrid_side)
+        cache[mgrid_side] = (model_error, mae)
+        return model_error, mae, model
 
     def _train_and_measure(self, mgrid_side: int) -> Tuple[float, float, DemandPredictor]:
         """Train a fresh model at this resolution and estimate ``n * MAE``."""

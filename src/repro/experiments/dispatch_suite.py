@@ -3,7 +3,7 @@
 Binds the :mod:`repro.sweep.dispatch` runner to the experiment configuration
 profiles, the same way :mod:`repro.experiments.multi_city` binds the OGSS
 sweep.  A suite run fans (city x policy x fleet size x demand scale x seed)
-scenario points through worker threads with a persistent result cache, so
+scenario points out across worker processes with a persistent result cache, so
 ``repro dispatch`` replays Figures 6-8-style dispatch comparisons and the
 stress variants (surge demand, small/large fleets) byte-stably from cache.
 
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.dispatch.scenarios import lifecycle_scenarios, pathological_scenarios
+from repro.dispatch.scenarios import lifecycle_scenarios, pathological_scenarios, scenario_grid
 from repro.experiments.config import get_profile
 from repro.experiments.multi_city import resolve_city
-from repro.sweep.dispatch import DispatchSuiteRunner, SuiteReport, suite_scenarios
+from repro.sweep.dispatch import DispatchSuiteRunner, SuiteReport
 
 #: Default fleet sizes swept by the suite (per 200-driver reference fleet).
 DEFAULT_FLEET_SIZES = (100, 200)
@@ -48,7 +48,6 @@ def run_dispatch_suite(
     max_workers: Optional[int] = None,
     engine: str = "vector",
     matching: str = "optimal",
-    executor: str = "thread",
     sparse: str = "auto",
     guidance: str = "oracle",
     scenario_family: str = "grid",
@@ -56,7 +55,7 @@ def run_dispatch_suite(
     fleet_profile: str = "full_day",
     max_wait_minutes: float = 10.0,
 ) -> SuiteReport:
-    """Simulate every (city, policy, fleet, demand, seed) scenario in parallel.
+    """Simulate every (city, policy, fleet, demand, seed) scenario across processes.
 
     The dataset scale, history length and case-study slots come from the
     named experiment ``profile`` so suite results line up with the figure
@@ -76,12 +75,12 @@ def run_dispatch_suite(
     if scenario_family not in SCENARIO_FAMILIES:
         raise ValueError(f"scenario_family must be one of {SCENARIO_FAMILIES}")
     config = get_profile(profile)
-    scenarios = suite_scenarios(
-        cities=[resolve_city(city) for city in cities],
-        policies=policies,
-        fleet_sizes=fleet_sizes,
-        demand_scales=demand_scales,
-        seeds=seeds,
+    scenarios = scenario_grid(
+        [resolve_city(city) for city in cities],
+        policies=list(policies),
+        fleet_sizes=list(fleet_sizes),
+        demand_scales=list(demand_scales),
+        seeds=list(seeds),
         scale=config.city_scale,
         num_days=config.num_days,
         slots=tuple(config.case_study_slots),
@@ -105,6 +104,5 @@ def run_dispatch_suite(
         cache_dir=cache_dir,
         max_workers=max_workers,
         engine=engine,
-        executor=executor,
         sparse=sparse,
     ).run()

@@ -41,9 +41,8 @@ def run_city_sweep(
     algorithm: str = "iterative",
     profile: str = "tiny",
     cache_dir: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> SweepReport:
-    """Run OGSS searches for every (city, model, slot) combination in parallel.
+    """Run OGSS searches for every (city, model, slot) combination.
 
     The dataset scale, history length, HGrid budget and seed come from the
     named experiment ``profile`` so sweep results line up with the figure
@@ -60,4 +59,4 @@ def run_city_sweep(
         num_days=config.num_days,
         seed=config.seed,
     )
-    return SweepRunner(tasks, cache_dir=cache_dir, max_workers=max_workers).run()
+    return SweepRunner(tasks, cache_dir=cache_dir).run()

@@ -3,7 +3,7 @@
 Binds the :mod:`repro.sweep.prediction` runner to the experiment
 configuration profiles, the same way :mod:`repro.experiments.dispatch_suite`
 binds the dispatch suite.  A suite run fans (city x model x resolution x
-seed) predictor trainings through worker threads (or processes) with a
+seed) predictor trainings through one serial loop with a
 persistent result cache, so ``repro predict`` replays model-accuracy
 comparisons byte-stably from cache.
 
@@ -40,11 +40,9 @@ def run_prediction_suite(
     seeds: Iterable[int] = (7,),
     profile: str = "tiny",
     cache_dir: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
     hyper: Sequence[tuple] = (),
 ) -> PredictionSuiteReport:
-    """Train/evaluate every (city, model, resolution, seed) scenario in parallel.
+    """Train/evaluate every (city, model, resolution, seed) scenario.
 
     The dataset scale and history length come from the named experiment
     ``profile`` so suite results line up with the figure benchmarks run at
@@ -61,9 +59,4 @@ def run_prediction_suite(
         num_days=config.num_days,
         hyper=tuple(hyper),
     )
-    return PredictionSuiteRunner(
-        scenarios,
-        cache_dir=cache_dir,
-        max_workers=max_workers,
-        executor=executor,
-    ).run()
+    return PredictionSuiteRunner(scenarios, cache_dir=cache_dir).run()

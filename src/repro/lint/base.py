@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.findings import Finding
 
@@ -225,25 +225,3 @@ class ProjectRule(InvariantRule):
         return Finding(
             path=path, line=line, col=col, rule=self.rule_id, message=message, text=text
         )
-
-
-def walk_assigned_self_attrs(node: ast.AST) -> List[ast.Attribute]:
-    """All ``self.<attr>`` targets assigned (plain or augmented) under ``node``."""
-    targets: List[ast.Attribute] = []
-    for child in ast.walk(node):
-        raw: Sequence[ast.expr]
-        if isinstance(child, ast.Assign):
-            raw = child.targets
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            raw = [child.target]
-        else:
-            continue
-        for target in raw:
-            for element in ast.walk(target):
-                if (
-                    isinstance(element, ast.Attribute)
-                    and isinstance(element.value, ast.Name)
-                    and element.value.id == "self"
-                ):
-                    targets.append(element)
-    return targets

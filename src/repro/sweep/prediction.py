@@ -1,24 +1,25 @@
-"""Parallel, cached predictor-sweep runner.
+"""Cached predictor-sweep runner.
 
 The prediction counterpart of :class:`~repro.sweep.dispatch.DispatchSuiteRunner`:
 a suite is a batch of :class:`PredictorScenario` points
 (city x model x resolution x seed), each of which trains one demand predictor
 on its synthetic city and evaluates it on the held-out test day.  The runner
-shares the two expensive resources the same way the dispatch suite does:
+goes through the shared loop of :mod:`repro.sweep.suite` and shares the
+expensive resources the same way the dispatch suite does:
 
-1. **Datasets** — each unique ``(city, scale, num_days, seed)`` synthetic
-   dataset is generated once and shared by every scenario that uses it.
+1. **Datasets** — scenarios are grouped by their ``dataset_signature``;
+   each group generates its synthetic dataset once.
 2. **Results** — finished evaluations are persisted as canonical JSON through
    :class:`~repro.utils.cache.ResultCache`.  Training is fully deterministic
    (split random streams per purpose, see
    :class:`~repro.prediction.base.NeuralDemandPredictor`), so a rerun with
    identical parameters is a byte-identical cache replay and trains nothing.
 
-Both a ``ThreadPoolExecutor`` and a ``ProcessPoolExecutor`` backend are
-available; training is NumPy-bound and releases the GIL for its heavy
-lifting, but suites dominated by many small models still benefit from
-process-level parallelism.  Cache lookups and writes always stay in the
-parent process, so both backends produce identical cached JSON bytes.
+Groups run serially in one process.  Training is BLAS-bound and OpenBLAS
+already uses every core, so worker pools only added contention: on a 2-vCPU
+host ``repro predict`` over 3 presets (``historical_average,mlp``,
+resolutions 4 8) took 2.86-2.96 s serially, 3.98-4.20 s with two threads and
+11.3-12.6 s with two processes.
 
 Example
 -------
@@ -32,10 +33,8 @@ Example
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from repro.prediction.registry import (
     create_seeded_model,
     filter_model_kwargs,
 )
+from repro.sweep.suite import run_cached
 from repro.utils.cache import ResultCache
 from repro.utils.rng import seed_for
 from repro.utils.timer import wall_clock
@@ -232,7 +232,19 @@ def evaluate_predictor_scenario(
     }
 
 
-def _outcome_from_payload(
+def _evaluate_group(scenarios: Sequence[PredictorScenario]) -> Iterator[Dict[str, Any]]:
+    """Evaluate scenarios sharing one dataset signature; yield their payloads."""
+    first = scenarios[0]
+    dataset = EventDataset.from_city(
+        city_preset(first.city, scale=first.scale),
+        num_days=first.num_days,
+        seed=first.dataset_seed,
+    )
+    for scenario in scenarios:
+        yield evaluate_predictor_scenario(scenario, dataset)
+
+
+def _outcome(
     scenario: PredictorScenario,
     payload: Dict[str, Any],
     seconds: float,
@@ -252,48 +264,8 @@ def _outcome_from_payload(
     )
 
 
-#: Per-worker-process dataset memo.  ProcessPoolExecutor workers are
-#: long-lived, so each process generates a dataset signature at most once no
-#: matter how many scenarios it evaluates; capped to stay small.
-_WORKER_DATASETS: Dict[Tuple[str, float, int, int], EventDataset] = {}
-_WORKER_DATASET_CAP = 8
-
-
-def _worker_dataset(scenario: PredictorScenario) -> EventDataset:
-    signature = scenario.dataset_signature
-    dataset = _WORKER_DATASETS.get(signature)
-    if dataset is None:
-        dataset = EventDataset.from_city(
-            city_preset(scenario.city, scale=scenario.scale),
-            num_days=scenario.num_days,
-            seed=scenario.dataset_seed,
-        )
-        if len(_WORKER_DATASETS) >= _WORKER_DATASET_CAP:
-            _WORKER_DATASETS.pop(next(iter(_WORKER_DATASETS)))
-        _WORKER_DATASETS[signature] = dataset
-    return dataset
-
-
-def _evaluate_scenario_task(
-    scenario: PredictorScenario,
-) -> Tuple[Dict[str, Any], float]:
-    """Process-pool worker: evaluate one scenario (timed inside the worker).
-
-    Module-level (picklable) on purpose.  Unlike the dispatch suite — where
-    dataset generation dominates and grouping by dataset is the right unit —
-    predictor scenarios are training-dominated, so the pool fans out per
-    scenario for real parallelism and relies on the per-process dataset memo
-    to avoid regenerating datasets.  Results are cached by the parent
-    process so cache writes stay single-writer and byte-identical to a
-    thread-backend run.
-    """
-    start = wall_clock()
-    payload = evaluate_predictor_scenario(scenario, _worker_dataset(scenario))
-    return payload, wall_clock() - start
-
-
 class PredictionSuiteRunner:
-    """Run a batch of predictor scenarios in parallel with persistent caching.
+    """Run a batch of predictor scenarios with persistent caching.
 
     Parameters
     ----------
@@ -302,93 +274,30 @@ class PredictionSuiteRunner:
     cache_dir:
         Directory for the persistent :class:`~repro.utils.cache.ResultCache`;
         ``None`` disables on-disk caching (everything is recomputed).
-    max_workers:
-        Worker-pool size; defaults to ``min(len(scenarios), cpu_count)`` for
-        threads and ``min(groups, cpu_count)`` for processes.
-    executor:
-        ``"thread"`` (default) or ``"process"``.  The process backend fans
-        cache misses out one task per scenario (training dominates, so the
-        scenario is the parallel unit) with a per-worker dataset memo;
-        cache reads/writes stay in the parent process, keeping cached JSON
-        bytes identical across backends.
     """
 
     def __init__(
         self,
         scenarios: Iterable[PredictorScenario],
         cache_dir: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
     ) -> None:
         self.scenarios = list(scenarios)
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
-        self.executor = executor
-        self._datasets: Dict[Tuple[str, float, int, int], EventDataset] = {}
-
-    # ------------------------------------------------------------------ #
 
     def run(self) -> PredictionSuiteReport:
         """Evaluate every scenario and return the collected report."""
         start = wall_clock()
-        if self.executor == "process":
-            outcomes = self._run_process_pool()
-        else:
-            self._prepare_datasets()
-            workers = self.max_workers or min(len(self.scenarios), os.cpu_count() or 1)
-            if workers <= 1:
-                outcomes = [self._run_scenario(s) for s in self.scenarios]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(self._run_scenario, self.scenarios))
-        return PredictionSuiteReport(
-            outcomes=tuple(outcomes), seconds=wall_clock() - start
+        outcomes = run_cached(
+            self.scenarios,
+            self.cache,
+            cache_key=self.cache_key,
+            group_key=lambda scenario: scenario.dataset_signature,
+            run_group=_evaluate_group,
+            outcome=_outcome,
         )
-
-    def _run_process_pool(self) -> List[PredictorOutcome]:
-        """Fan cache misses out to worker processes, one task per scenario."""
-        slots: List[Optional[PredictorOutcome]] = [None] * len(self.scenarios)
-        misses: List[int] = []
-        for position, scenario in enumerate(self.scenarios):
-            if self.cache is not None:
-                payload = self.cache.get(self.cache_key(scenario))
-                if payload is not None:
-                    slots[position] = _outcome_from_payload(
-                        scenario, payload, seconds=0.0, from_cache=True
-                    )
-                    continue
-            misses.append(position)
-        if misses:
-            workers = self.max_workers or min(len(misses), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (position, pool.submit(_evaluate_scenario_task, self.scenarios[position]))
-                    for position in misses
-                ]
-                for position, future in futures:
-                    payload, seconds = future.result()
-                    slots[position] = _outcome_from_payload(
-                        self.scenarios[position],
-                        payload,
-                        seconds=seconds,
-                        from_cache=False,
-                    )
-            # Single-writer cache updates, in scenario order, so the on-disk
-            # JSON bytes match a thread-backend run of the same suite.
-            if self.cache is not None:
-                for position in misses:
-                    outcome = slots[position]
-                    assert outcome is not None
-                    self.cache.put(
-                        self.cache_key(outcome.scenario), self._serialise(outcome)
-                    )
-        return [outcome for outcome in slots if outcome is not None]
-
-    # ------------------------------------------------------------------ #
+        return PredictionSuiteReport(outcomes=outcomes, seconds=wall_clock() - start)
 
     @staticmethod
     def cache_key(scenario: PredictorScenario) -> str:
@@ -396,63 +305,6 @@ class PredictionSuiteRunner:
         return ResultCache.key_for(
             {"schema": _CACHE_SCHEMA, "scenario": scenario.cache_payload()}
         )
-
-    @staticmethod
-    def _serialise(outcome: PredictorOutcome) -> Dict[str, Any]:
-        return {
-            "mae": outcome.mae,
-            "rmse": outcome.rmse,
-            "epochs_run": outcome.epochs_run,
-            "best_epoch": outcome.best_epoch,
-            "best_val_mae": outcome.best_val_mae,
-        }
-
-    def _prepare_datasets(self) -> None:
-        """Build each unique dataset once, before the workers fan out.
-
-        Scenarios that only hit the cache never need their dataset, so only
-        signatures with at least one cache miss are generated.
-        """
-        for scenario in self.scenarios:
-            if scenario.dataset_signature in self._datasets:
-                continue
-            if self.cache is not None and self.cache_key(scenario) in self.cache:
-                continue
-            self._dataset_for(scenario)
-
-    def _dataset_for(self, scenario: PredictorScenario) -> EventDataset:
-        signature = scenario.dataset_signature
-        if signature not in self._datasets:
-            self._datasets[signature] = EventDataset.from_city(
-                city_preset(scenario.city, scale=scenario.scale),
-                num_days=scenario.num_days,
-                seed=scenario.dataset_seed,
-            )
-        return self._datasets[signature]
-
-    def _run_scenario(self, scenario: PredictorScenario) -> PredictorOutcome:
-        scenario_start = wall_clock()
-        key = None
-        if self.cache is not None:
-            key = self.cache_key(scenario)
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _outcome_from_payload(
-                    scenario,
-                    payload,
-                    seconds=wall_clock() - scenario_start,
-                    from_cache=True,
-                )
-        payload = evaluate_predictor_scenario(scenario, self._dataset_for(scenario))
-        outcome = _outcome_from_payload(
-            scenario,
-            payload,
-            seconds=wall_clock() - scenario_start,
-            from_cache=False,
-        )
-        if self.cache is not None and key is not None:
-            self.cache.put(key, self._serialise(outcome))
-        return outcome
 
 
 def predictor_scenarios(

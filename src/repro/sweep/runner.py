@@ -1,27 +1,27 @@
-"""Parallel, cached OGSS sweep runner.
+"""Cached OGSS sweep runner.
 
 A sweep is a cross-product of (city preset x prediction model x time slot)
 combinations, each of which runs one OGSS search (Algorithms 4/5 or brute
 force) against its own :class:`~repro.core.upper_bound.UpperBoundEvaluator`.
-The runner exploits three levels of sharing:
+The runner goes through the shared loop of :mod:`repro.sweep.suite` and
+exploits three levels of sharing:
 
-1. **Datasets** — each unique (city, scale, days, seed) dataset is generated
-   once and shared by every task that uses it.
-2. **Model errors** — tasks that differ only in their alpha slot share a
-   :class:`SingleFlightModelErrorCache` (see
-   :attr:`repro.core.upper_bound.UpperBoundEvaluator.model_error_cache`)
-   whose per-side locks make concurrent cold starts wait for the first
-   training instead of repeating it, so a 48-slot sweep trains each
-   candidate side once, not 48 times.
+1. **Datasets** — tasks are grouped by their (city, scale, days, seed)
+   dataset, which each group generates once.
+2. **Model errors** — within a group, tasks with the same model and HGrid
+   budget share one plain ``model_error_cache`` dict (see
+   :attr:`repro.core.upper_bound.UpperBoundEvaluator.model_error_cache`),
+   the pattern :mod:`repro.core.slotwise` uses, so a 48-slot sweep trains
+   each candidate side once, not 48 times.
 3. **Results** — finished searches are persisted as canonical JSON through
    :class:`~repro.utils.cache.ResultCache`; a rerun with identical parameters
    is a cache hit and does no work at all.
 
-Tasks are executed by a :class:`concurrent.futures.ThreadPoolExecutor`; the
-hot paths (batched expression errors, model training) are NumPy-bound and
-release the GIL for their heavy lifting.  Dict reads/writes are GIL-atomic
-and the expensive step — training — is single-flighted per side through the
-cache's per-side locks.
+Groups run serially in one process: measured on a 2-vCPU host, two worker
+threads were not measurably faster than one (``repro sweep`` over 3 presets
+and slots 16 17: 1.28-1.40 s serial vs 1.33-1.51 s with
+``historical_average``, 9.28-9.53 s vs 9.98-10.10 s with ``mlp``), and BLAS
+already uses every core.
 
 Example
 -------
@@ -35,17 +35,15 @@ Example
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.search import SearchResult, run_search
 from repro.core.upper_bound import UpperBoundEvaluator
 from repro.data.dataset import EventDataset
 from repro.data.presets import CITY_PRESETS, city_preset
 from repro.prediction.registry import available_models, model_factory
+from repro.sweep.suite import run_cached
 from repro.utils.cache import ResultCache
 from repro.utils.timer import wall_clock
 from repro.utils.validation import ensure_perfect_square
@@ -55,26 +53,6 @@ from repro.utils.validation import ensure_perfect_square
 #: best-validation weights, splits its RNG streams and defaults to larger
 #: training caps, so model errors cached under schema 1 are not comparable.
 _CACHE_SCHEMA = 2
-
-
-class SingleFlightModelErrorCache(Dict[int, Tuple[float, float]]):
-    """Model-error cache with per-side locks for concurrent evaluators.
-
-    :class:`~repro.core.upper_bound.UpperBoundEvaluator` holds the lock
-    returned by :meth:`lock_for` around check-train-store, so when many slot
-    tasks cold-start in parallel each candidate side is trained exactly once
-    and the other tasks wait for (then reuse) that entry.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._locks: Dict[int, threading.Lock] = {}
-        self._master = threading.Lock()
-
-    def lock_for(self, side: int) -> threading.Lock:
-        """The lock serialising training of ``side`` across threads."""
-        with self._master:
-            return self._locks.setdefault(side, threading.Lock())
 
 
 @dataclass(frozen=True)
@@ -203,22 +181,50 @@ def sweep_tasks(
     ]
 
 
-def _serialise_outcome(outcome: SweepOutcome) -> Dict[str, Any]:
-    result = outcome.result
-    return {
-        "algorithm": result.algorithm,
-        "best_side": result.best_side,
-        "best_value": result.best_value,
-        "evaluations": result.evaluations,
-        "probes": {str(side): value for side, value in sorted(result.probes.items())},
-        "model_error": outcome.model_error,
-        "expression_error": outcome.expression_error,
-        "mae": outcome.mae,
-    }
+def _search_group(tasks: Sequence[SweepTask]) -> Iterator[Dict[str, Any]]:
+    """Run the searches of tasks sharing one dataset; yield their payloads.
+
+    Tasks with the same model and HGrid budget share a model-error cache:
+    the model error does not depend on the alpha slot, so each side is
+    trained once per (model, budget), whatever the number of slots.
+    """
+    first = tasks[0]
+    dataset = EventDataset.from_city(
+        city_preset(first.city, scale=first.scale),
+        num_days=first.num_days,
+        seed=first.seed,
+    )
+    model_error_caches: Dict[Tuple[str, int], Dict[int, Tuple[float, float]]] = {}
+    for task in tasks:
+        evaluator = UpperBoundEvaluator(
+            dataset=dataset,
+            model_factory=model_factory(task.model),
+            hgrid_budget=task.hgrid_budget,
+            alpha_slot=task.slot,
+            model_error_cache=model_error_caches.setdefault((task.model, task.hgrid_budget), {}),
+        )
+        result = run_search(
+            task.algorithm,
+            evaluator,
+            task.hgrid_budget,
+            min_side=task.min_side,
+            **dict(task.search_kwargs),
+        )
+        best = evaluator.evaluate_side(result.best_side)
+        yield {
+            "algorithm": result.algorithm,
+            "best_side": result.best_side,
+            "best_value": result.best_value,
+            "evaluations": result.evaluations,
+            "probes": {str(side): value for side, value in sorted(result.probes.items())},
+            "model_error": best.model_error,
+            "expression_error": best.expression_error,
+            "mae": best.mae,
+        }
 
 
-def _deserialise_outcome(
-    task: SweepTask, payload: Dict[str, Any], seconds: float
+def _outcome(
+    task: SweepTask, payload: Dict[str, Any], seconds: float, from_cache: bool
 ) -> SweepOutcome:
     result = SearchResult(
         algorithm=payload["algorithm"],
@@ -234,12 +240,12 @@ def _deserialise_outcome(
         expression_error=float(payload["expression_error"]),
         mae=float(payload["mae"]),
         seconds=seconds,
-        from_cache=True,
+        from_cache=from_cache,
     )
 
 
 class SweepRunner:
-    """Run a batch of :class:`SweepTask` in parallel with persistent caching.
+    """Run a batch of :class:`SweepTask` with persistent caching.
 
     Parameters
     ----------
@@ -248,104 +254,23 @@ class SweepRunner:
     cache_dir:
         Directory for the persistent :class:`~repro.utils.cache.ResultCache`;
         ``None`` disables on-disk caching (everything is recomputed).
-    max_workers:
-        Thread-pool size; defaults to ``min(len(tasks), cpu_count)``.
     """
 
-    def __init__(
-        self,
-        tasks: Iterable[SweepTask],
-        cache_dir: Optional[str] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, tasks: Iterable[SweepTask], cache_dir: Optional[str] = None) -> None:
         self.tasks = list(tasks)
         if not self.tasks:
             raise ValueError("at least one sweep task is required")
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
-        self._datasets: Dict[Tuple[str, float, int, int], EventDataset] = {}
-        self._model_error_caches: Dict[Tuple, SingleFlightModelErrorCache] = {}
-
-    # ------------------------------------------------------------------ #
 
     def run(self) -> SweepReport:
         """Execute every task and return the collected :class:`SweepReport`."""
         start = wall_clock()
-        self._prepare_datasets()
-        workers = self.max_workers or min(len(self.tasks), os.cpu_count() or 1)
-        if workers <= 1:
-            outcomes = [self._run_task(task) for task in self.tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(self._run_task, self.tasks))
-        return SweepReport(
-            outcomes=tuple(outcomes), seconds=wall_clock() - start
+        outcomes = run_cached(
+            self.tasks,
+            self.cache,
+            cache_key=lambda task: ResultCache.key_for(task.cache_payload()),
+            group_key=lambda task: task.dataset_signature,
+            run_group=_search_group,
+            outcome=_outcome,
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _prepare_datasets(self) -> None:
-        """Build each unique dataset once, before the workers fan out.
-
-        Tasks that only hit the cache never need their dataset, so only
-        signatures with at least one cache miss are generated.
-        """
-        for task in self.tasks:
-            if task.dataset_signature in self._datasets:
-                continue
-            if self.cache is not None:
-                key = ResultCache.key_for(task.cache_payload())
-                if key in self.cache:
-                    continue
-            self._dataset_for(task)
-
-    def _dataset_for(self, task: SweepTask) -> EventDataset:
-        signature = task.dataset_signature
-        if signature not in self._datasets:
-            self._datasets[signature] = EventDataset.from_city(
-                city_preset(task.city, scale=task.scale),
-                num_days=task.num_days,
-                seed=task.seed,
-            )
-        return self._datasets[signature]
-
-    def _run_task(self, task: SweepTask) -> SweepOutcome:
-        task_start = wall_clock()
-        key = None
-        if self.cache is not None:
-            key = ResultCache.key_for(task.cache_payload())
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _deserialise_outcome(
-                    task, payload, seconds=wall_clock() - task_start
-                )
-        evaluator = UpperBoundEvaluator(
-            dataset=self._dataset_for(task),
-            model_factory=model_factory(task.model),
-            hgrid_budget=task.hgrid_budget,
-            alpha_slot=task.slot,
-            model_error_cache=self._model_error_caches.setdefault(
-                (task.dataset_signature, task.model, task.hgrid_budget),
-                SingleFlightModelErrorCache(),
-            ),
-        )
-        result = run_search(
-            task.algorithm,
-            evaluator,
-            task.hgrid_budget,
-            min_side=task.min_side,
-            **dict(task.search_kwargs),
-        )
-        best = evaluator.evaluate_side(result.best_side)
-        outcome = SweepOutcome(
-            task=task,
-            result=result,
-            model_error=best.model_error,
-            expression_error=best.expression_error,
-            mae=best.mae,
-            seconds=wall_clock() - task_start,
-            from_cache=False,
-        )
-        if self.cache is not None and key is not None:
-            self.cache.put(key, _serialise_outcome(outcome))
-        return outcome
+        return SweepReport(outcomes=outcomes, seconds=wall_clock() - start)

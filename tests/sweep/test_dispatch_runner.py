@@ -1,18 +1,21 @@
-"""Tests for the parallel, cached dispatch scenario-suite runner."""
+"""Tests for the cached dispatch scenario-suite runner."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.dispatch.scenarios import DispatchScenario
-from repro.sweep.dispatch import DispatchSuiteRunner, suite_scenarios
+import repro.dispatch.scenarios as scenarios_module
+import repro.sweep.dispatch as dispatch_module
+from repro.dispatch.scenarios import DispatchScenario, scenario_grid
+from repro.sweep.dispatch import DispatchSuiteRunner
 
 SMALL = dict(scale=0.003, num_days=6, slots=(16, 17))
 
 
 def small_scenarios(**overrides):
     params = {**SMALL, **overrides}
-    return suite_scenarios(
+    return scenario_grid(
         ["xian_like"],
         policies=("polar", "ls"),
         fleet_sizes=(15,),
@@ -74,18 +77,49 @@ class TestDispatchSuiteRunner:
         assert vector.cache_hits == 1
         assert scalar.outcomes[0].metrics == vector.outcomes[0].metrics
 
-    def test_datasets_shared_across_scenarios(self):
-        runner = DispatchSuiteRunner(small_scenarios(), max_workers=1)
-        runner.run()
-        # polar/ls and both demand scales share 2 datasets (one per scale).
-        assert len(runner._datasets) == 2
+    def test_datasets_shared_across_scenarios(self, monkeypatch):
+        built = []
+        original = dispatch_module.build_scenario_dataset
 
-    def test_parallel_equals_serial(self):
+        def counting(scenario):
+            built.append(scenario.dataset_signature)
+            return original(scenario)
+
+        monkeypatch.setattr(dispatch_module, "build_scenario_dataset", counting)
+        DispatchSuiteRunner(small_scenarios(), max_workers=1).run()
+        # polar/ls and both demand scales share 2 datasets (one per scale).
+        assert len(built) == 2 == len(set(built))
+
+    def test_process_fan_out_equals_inline(self, tmp_path):
+        """Two dataset groups across two processes give the outcomes and
+        cache bytes of one inline worker."""
         scenarios = small_scenarios()
-        serial = DispatchSuiteRunner(scenarios, max_workers=1).run()
-        parallel = DispatchSuiteRunner(scenarios, max_workers=4).run()
-        for a, b in zip(serial.outcomes, parallel.outcomes):
-            assert a.metrics == b.metrics
+        assert len({s.dataset_signature for s in scenarios}) >= 2
+        inline_dir, pool_dir = tmp_path / "inline", tmp_path / "pool"
+        inline = DispatchSuiteRunner(scenarios, cache_dir=str(inline_dir), max_workers=1).run()
+        pooled = DispatchSuiteRunner(scenarios, cache_dir=str(pool_dir), max_workers=2).run()
+        assert [dataclasses.replace(o, seconds=0.0) for o in pooled.outcomes] == [
+            dataclasses.replace(o, seconds=0.0) for o in inline.outcomes
+        ]
+        inline_files = {p.name: p.read_bytes() for p in inline_dir.glob("*.json")}
+        pool_files = {p.name: p.read_bytes() for p in pool_dir.glob("*.json")}
+        assert len(inline_files) == len(scenarios)
+        assert pool_files == inline_files
+
+    def test_fresh_outcome_equals_cache_replay(self, tmp_path):
+        scenarios = small_scenarios()
+        fresh = DispatchSuiteRunner(scenarios, cache_dir=str(tmp_path)).run()
+        replay = DispatchSuiteRunner(scenarios, cache_dir=str(tmp_path)).run()
+        assert replay.cache_hits == len(scenarios)
+        for first, second in zip(fresh.outcomes, replay.outcomes):
+            assert not first.from_cache and second.from_cache
+            replayed = dataclasses.replace(second, seconds=0.0, from_cache=False)
+            assert replayed == dataclasses.replace(first, seconds=0.0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_worker_counts_below_one(self, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            DispatchSuiteRunner(small_scenarios(), max_workers=workers).run()
 
     def test_by_label(self):
         report = DispatchSuiteRunner(small_scenarios(), max_workers=1).run()
@@ -140,9 +174,7 @@ class TestDispatchSuiteRunner:
 
         assert _CACHE_SCHEMA >= 2
 
-    def test_invalid_executor_and_sparse(self):
-        with pytest.raises(ValueError):
-            DispatchSuiteRunner(small_scenarios(), executor="fiber")
+    def test_invalid_sparse(self):
         with pytest.raises(ValueError):
             DispatchSuiteRunner(small_scenarios(), sparse="maybe")
 
@@ -154,55 +186,21 @@ class TestDispatchSuiteRunner:
             assert a.metrics == b.metrics
 
 
-class TestProcessExecutor:
-    """The ProcessPoolExecutor backend (GIL-free matching-heavy suites)."""
-
-    def test_process_equals_thread(self):
-        scenarios = small_scenarios()
-        thread = DispatchSuiteRunner(scenarios, executor="thread", max_workers=2).run()
-        process = DispatchSuiteRunner(scenarios, executor="process", max_workers=2).run()
-        assert len(process.outcomes) == len(scenarios)
-        for a, b in zip(thread.outcomes, process.outcomes):
-            assert a.scenario == b.scenario
-            assert a.metrics == b.metrics
-            assert not b.from_cache
-
-    def test_process_cache_bytes_match_thread(self, tmp_path):
-        scenarios = small_scenarios()
-        thread_dir = tmp_path / "thread"
-        process_dir = tmp_path / "process"
-        DispatchSuiteRunner(scenarios, cache_dir=str(thread_dir), executor="thread").run()
-        DispatchSuiteRunner(
-            scenarios, cache_dir=str(process_dir), executor="process", max_workers=2
-        ).run()
-        thread_files = {p.name: p.read_bytes() for p in thread_dir.glob("*.json")}
-        process_files = {p.name: p.read_bytes() for p in process_dir.glob("*.json")}
-        assert thread_files == process_files
-        assert len(thread_files) == len(scenarios)
-
-    def test_process_replays_from_cache(self, tmp_path):
-        cache_dir = tmp_path / "suite"
-        scenarios = small_scenarios()[:2]
-        first = DispatchSuiteRunner(
-            scenarios, cache_dir=str(cache_dir), executor="process", max_workers=2
-        ).run()
-        assert first.cache_hits == 0
-        second = DispatchSuiteRunner(
-            scenarios, cache_dir=str(cache_dir), executor="process"
-        ).run()
-        assert second.cache_hits == len(scenarios)
-        for a, b in zip(first.outcomes, second.outcomes):
-            assert a.metrics == b.metrics
-
-
 class TestPredictorGuidanceSharing:
-    def test_guided_suite_trains_one_provider_per_signature(self):
+    def test_guided_suite_trains_one_provider_per_signature(self, monkeypatch):
+        trained = []
+        original = scenarios_module._guidance_provider
+
+        def counting(dataset, scenario):
+            trained.append(scenario.guidance_signature)
+            return original(dataset, scenario)
+
+        monkeypatch.setattr(scenarios_module, "_guidance_provider", counting)
         scenarios = small_scenarios(guidance="historical_average")
-        runner = DispatchSuiteRunner(scenarios, max_workers=1)
-        runner.run()
+        DispatchSuiteRunner(scenarios, max_workers=1).run()
         # 4 scenarios = (polar, ls) x (1.0, 2.0 demand); policies share a
         # provider, demand scales do not (different datasets).
-        assert len(runner._providers) == 2
+        assert len(trained) == 2 == len(set(trained))
 
     def test_guided_suite_matches_unshared_bundles(self):
         from repro.dispatch.scenarios import build_scenario_bundle

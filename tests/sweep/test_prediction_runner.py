@@ -1,10 +1,12 @@
-"""Tests for the parallel, cached predictor-suite runner."""
+"""Tests for the cached predictor-suite runner."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.data.dataset import EventDataset
 from repro.sweep.prediction import (
     PredictionSuiteRunner,
     PredictorScenario,
@@ -82,7 +84,7 @@ class TestPredictorScenario:
 
 class TestPredictionSuiteRunner:
     def test_runs_all_scenarios(self):
-        report = PredictionSuiteRunner(small_scenarios(), max_workers=2).run()
+        report = PredictionSuiteRunner(small_scenarios()).run()
         assert len(report.outcomes) == 2
         assert report.cache_hits == 0
         assert all(np.isfinite(o.mae) and o.mae >= 0 for o in report.outcomes)
@@ -92,12 +94,8 @@ class TestPredictionSuiteRunner:
         with pytest.raises(ValueError):
             PredictionSuiteRunner([])
 
-    def test_invalid_executor(self):
-        with pytest.raises(ValueError):
-            PredictionSuiteRunner(small_scenarios(), executor="fiber")
-
     def test_neural_outcomes_record_history(self):
-        report = PredictionSuiteRunner(small_scenarios(), max_workers=1).run()
+        report = PredictionSuiteRunner(small_scenarios()).run()
         by_model = {o.scenario.model: o for o in report.outcomes}
         assert by_model["mlp"].epochs_run >= 1
         assert by_model["historical_average"].epochs_run == 0
@@ -127,22 +125,31 @@ class TestPredictionSuiteRunner:
             payload = json.loads(text)
             assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def test_datasets_shared_across_scenarios(self):
-        runner = PredictionSuiteRunner(small_scenarios(), max_workers=1)
-        runner.run()
-        # Both models train against the same generated city.
-        assert len(runner._datasets) == 1
+    def test_datasets_shared_across_scenarios(self, monkeypatch):
+        generated = []
+        original = EventDataset.from_city
 
-    def test_parallel_equals_serial(self):
+        def counting(*args, **kwargs):
+            generated.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(EventDataset, "from_city", counting)
+        PredictionSuiteRunner(small_scenarios()).run()
+        # Both models train against the same generated city.
+        assert len(generated) == 1
+
+    def test_fresh_outcome_equals_cache_replay(self, tmp_path):
         scenarios = small_scenarios()
-        serial = PredictionSuiteRunner(scenarios, max_workers=1).run()
-        parallel = PredictionSuiteRunner(scenarios, max_workers=4).run()
-        for a, b in zip(serial.outcomes, parallel.outcomes):
-            assert a.mae == b.mae
-            assert a.rmse == b.rmse
+        fresh = PredictionSuiteRunner(scenarios, cache_dir=str(tmp_path)).run()
+        replay = PredictionSuiteRunner(scenarios, cache_dir=str(tmp_path)).run()
+        assert replay.cache_hits == len(scenarios)
+        for first, second in zip(fresh.outcomes, replay.outcomes):
+            assert not first.from_cache and second.from_cache
+            replayed = dataclasses.replace(second, seconds=0.0, from_cache=False)
+            assert replayed == dataclasses.replace(first, seconds=0.0)
 
     def test_by_label_and_best_models(self):
-        report = PredictionSuiteRunner(small_scenarios(), max_workers=1).run()
+        report = PredictionSuiteRunner(small_scenarios()).run()
         labels = report.by_label()
         assert len(labels) == 2
         best = report.best_models()
@@ -154,50 +161,6 @@ class TestPredictionSuiteRunner:
         assert PredictionSuiteRunner.cache_key(scenario) == (
             PredictionSuiteRunner.cache_key(PredictorScenario(city="xian_like", **SMALL))
         )
-
-
-class TestProcessExecutor:
-    """The ProcessPoolExecutor backend."""
-
-    def test_process_equals_thread(self):
-        scenarios = small_scenarios()
-        thread = PredictionSuiteRunner(scenarios, executor="thread", max_workers=2).run()
-        process = PredictionSuiteRunner(
-            scenarios, executor="process", max_workers=2
-        ).run()
-        assert len(process.outcomes) == len(scenarios)
-        for a, b in zip(thread.outcomes, process.outcomes):
-            assert a.scenario == b.scenario
-            assert a.mae == b.mae
-            assert a.rmse == b.rmse
-            assert not b.from_cache
-
-    def test_process_cache_bytes_match_thread(self, tmp_path):
-        scenarios = small_scenarios()
-        thread_dir = tmp_path / "thread"
-        process_dir = tmp_path / "process"
-        PredictionSuiteRunner(scenarios, cache_dir=str(thread_dir)).run()
-        PredictionSuiteRunner(
-            scenarios, cache_dir=str(process_dir), executor="process", max_workers=2
-        ).run()
-        thread_files = {p.name: p.read_bytes() for p in thread_dir.glob("*.json")}
-        process_files = {p.name: p.read_bytes() for p in process_dir.glob("*.json")}
-        assert thread_files == process_files
-        assert len(thread_files) == len(scenarios)
-
-    def test_process_replays_from_cache(self, tmp_path):
-        cache_dir = tmp_path / "suite"
-        scenarios = small_scenarios()
-        first = PredictionSuiteRunner(
-            scenarios, cache_dir=str(cache_dir), executor="process", max_workers=2
-        ).run()
-        assert first.cache_hits == 0
-        second = PredictionSuiteRunner(
-            scenarios, cache_dir=str(cache_dir), executor="process"
-        ).run()
-        assert second.cache_hits == len(scenarios)
-        for a, b in zip(first.outcomes, second.outcomes):
-            assert a.mae == b.mae
 
 
 class TestHyperCacheKeys:

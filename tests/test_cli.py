@@ -54,12 +54,16 @@ class TestParser:
         assert args.algorithm == "iterative"
         assert args.cache_dir == ".gridtuner_cache"
 
-    def test_sweep_accepts_workers_and_slots(self):
-        args = build_parser().parse_args(
-            ["sweep", "--slots", "16", "17", "--workers", "4"]
-        )
+    def test_sweep_accepts_slots(self):
+        args = build_parser().parse_args(["sweep", "--slots", "16", "17"])
         assert args.slots == [16, 17]
-        assert args.workers == 4
+
+    @pytest.mark.parametrize("command", ["sweep", "predict"])
+    def test_serial_suites_take_no_workers_or_executor(self, command, capsys):
+        for flag in (["--workers", "2"], ["--executor", "process"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -96,7 +100,7 @@ class TestCommands:
 
     def test_sweep_command_populates_and_hits_cache(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "sweep-cache")
-        argv = ["sweep", "--preset", "xian", "--workers", "2", "--cache-dir", cache_dir]
+        argv = ["sweep", "--preset", "xian", "--cache-dir", cache_dir]
         exit_code = main(argv)
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -140,16 +144,27 @@ class TestDispatchCommand:
         assert args.engine == "vector"
         assert args.matching == "optimal"
         assert args.sparse == "auto"
-        assert args.executor == "thread"
+        assert args.workers is None
 
-    def test_dispatch_sparse_and_executor_parse(self):
-        args = build_parser().parse_args(
-            ["dispatch", "--sparse", "always", "--executor", "process"]
-        )
+    def test_dispatch_sparse_and_workers_parse(self):
+        args = build_parser().parse_args(["dispatch", "--sparse", "always", "--workers", "2"])
         assert args.sparse == "always"
-        assert args.executor == "process"
+        assert args.workers == 2
 
-    def test_dispatch_process_executor_runs(self, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_dispatch_rejects_workers_below_one(self, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["dispatch", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_dispatch_has_no_executor_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["dispatch", "--executor", "process"])
+
+    def test_dispatch_process_fan_out_runs(self, capsys):
+        # Two demand scales are two dataset groups, so two worker processes
+        # each simulate one.
         argv = [
             "dispatch",
             "--preset",
@@ -160,8 +175,7 @@ class TestDispatchCommand:
             "20",
             "--demand-scales",
             "1.0",
-            "--executor",
-            "process",
+            "2.0",
             "--workers",
             "2",
             "--cache-dir",
@@ -170,7 +184,7 @@ class TestDispatchCommand:
         assert main(argv) == 0
         output = capsys.readouterr().out
         assert "Dispatch scenario suite" in output
-        assert "xian_like" in output
+        assert "2 scenarios" in output
 
     def test_dispatch_command_populates_and_hits_cache(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "dispatch-cache")
@@ -303,7 +317,6 @@ class TestPredictCommand:
         assert args.command == "predict"
         assert args.models == "historical_average,mlp"
         assert args.resolutions == [8]
-        assert args.executor == "thread"
 
     def test_predict_command_populates_and_hits_cache(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "predict-cache")
@@ -338,25 +351,6 @@ class TestPredictCommand:
         argv = ["predict", "--models", "crystal_ball", "--cache-dir", "none"]
         assert main(argv) == 2
         assert "repro predict" in capsys.readouterr().err
-
-    def test_predict_process_executor_runs(self, capsys):
-        argv = [
-            "predict",
-            "--preset",
-            "xian",
-            "--models",
-            "historical_average",
-            "--resolutions",
-            "4",
-            "--executor",
-            "process",
-            "--workers",
-            "2",
-            "--cache-dir",
-            "none",
-        ]
-        assert main(argv) == 0
-        assert "Predictor suite" in capsys.readouterr().out
 
     def test_dispatch_guidance_option(self, capsys):
         argv = [
